@@ -22,10 +22,9 @@
 //!   (route hash, departure bin, sample count). Departure times are
 //!   quantized to 15-minute bins and the per-query RNG seed is derived
 //!   from the cache key, so a cached answer is bit-identical to a
-//!   recomputed one and `jobs = N` reproduces `jobs = 1` exactly.
-//!   Mirroring the DSE engine, `jobs = 1` is the sequential *reference*
-//!   path (no cache consulted); `jobs >= 2` enables the pooled, cached
-//!   engine — outputs are identical either way.
+//!   recomputed one and `jobs = N` reproduces `jobs = 1` exactly. As in
+//!   the DSE engine, `jobs` only sets the worker count: every batch goes
+//!   through the cache, and `jobs = 1` runs the pool's worker inline.
 //!
 //! Telemetry: `ptdr.queries`, `ptdr.cache.hit`, `ptdr.cache.miss`
 //! counters, and a `ptdr.batch` span per batch.
@@ -524,15 +523,13 @@ pub struct PtdrService {
 }
 
 impl PtdrService {
-    /// A service over `network`/`profiles` with `jobs = 1` (the
-    /// sequential reference path) and a 4096-entry response cache.
+    /// A service over `network`/`profiles` with `jobs = 1` (batches
+    /// served on the calling thread) and a 4096-entry response cache.
     pub fn new(network: RoadNetwork, profiles: SpeedProfiles) -> PtdrService {
         PtdrService { network, profiles, jobs: 1, seed: 0, cache: Mutex::new(LruCache::new(4096)) }
     }
 
-    /// Sets the worker count: `1` serves batches sequentially without
-    /// consulting the response cache (the bit-identical reference), `2+`
-    /// fans queries across the pool with caching enabled.
+    /// Sets the worker count batches fan out on (`1` serves them inline).
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> PtdrService {
         self.jobs = jobs.max(1);
@@ -626,35 +623,20 @@ impl PtdrService {
         self.serve_cached(query)
     }
 
-    /// Answers a batch of queries. Results land in input order and are
-    /// bit-identical for every `jobs` setting: `jobs = 1` recomputes
-    /// every query sequentially (the reference), `jobs >= 2` fans the
-    /// batch across [`everest_workflow::pool::parallel_map`] workers
-    /// with the response cache deduplicating repeated keys.
+    /// Answers a batch of queries through the response cache, fanned
+    /// across [`everest_workflow::pool::parallel_map`] workers. Results
+    /// land in input order and are bit-identical for every `jobs`
+    /// setting, because per-query seeds derive from the cache key.
     pub fn route_batch(&self, queries: &[RouteQuery]) -> Vec<TravelTimeStats> {
         let mut span = everest_telemetry::span("ptdr.batch", "traffic");
         span.attr("queries", queries.len());
         span.attr("jobs", self.jobs);
-        if self.jobs <= 1 {
-            queries
-                .iter()
-                .map(|query| {
-                    let telemetry = everest_telemetry::metrics();
-                    telemetry.counter_inc("ptdr.queries");
-                    let start = Instant::now();
-                    let out = self.compute(query, &self.key(query));
-                    telemetry.observe("ptdr.query.latency_us", start.elapsed().as_secs_f64() * 1e6);
-                    out
-                })
-                .collect()
-        } else {
-            everest_workflow::pool::parallel_map(
-                "ptdr.batch.worker",
-                self.jobs,
-                queries.to_vec(),
-                |_, query| self.serve_cached(&query),
-            )
-        }
+        everest_workflow::pool::parallel_map(
+            "ptdr.batch.worker",
+            self.jobs,
+            queries.iter().collect(),
+            |_, query| self.serve_cached(query),
+        )
     }
 }
 

@@ -1,12 +1,14 @@
 //! Determinism suite for the PTDR serving front-end: any worker count
-//! reproduces the sequential reference bit-for-bit, a cache hit
-//! short-circuits to the identical struct, and the telemetry counters
-//! account for every lookup.
+//! reproduces a per-query fold over the bare engine bit-for-bit, a cache
+//! hit short-circuits to the identical struct, and the telemetry
+//! counters account for every lookup.
 //!
 //! The telemetry counters are process-global, so every test serializes
 //! on one lock and measures deltas between snapshots.
 
-use everest_apps::traffic::service::{PtdrService, RouteQuery};
+use everest_apps::traffic::service::{
+    bin_center_hour, cache_key, derive_seed, PtdrEngine, PtdrService, RouteQuery,
+};
 use everest_apps::traffic::{generate_fcd, random_od, shortest_route, RoadNetwork, SpeedProfiles};
 use std::sync::Mutex;
 
@@ -51,11 +53,18 @@ fn any_job_count_reproduces_the_sequential_reference() {
     let _guard = counter_lock();
     let (net, profiles) = setup();
     let queries = build_queries(&net, &profiles);
-    let reference = PtdrService::new(net.clone(), profiles.clone())
-        .with_jobs(1)
-        .with_seed(99)
-        .route_batch(&queries);
-    for jobs in [2usize, 8] {
+    // The reference: every query estimated afresh on one bare engine, at
+    // its bin's canonical hour with its key-derived seed — no cache.
+    let mut engine: PtdrEngine = PtdrEngine::new();
+    let reference: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            let key = cache_key(&q.route, q.depart_hour, q.samples);
+            let seed = derive_seed(99, &key);
+            engine.estimate(&net, &profiles, &q.route, bin_center_hour(&key), q.samples, seed)
+        })
+        .collect();
+    for jobs in [1usize, 2, 8] {
         let pooled = PtdrService::new(net.clone(), profiles.clone())
             .with_jobs(jobs)
             .with_seed(99)
@@ -105,17 +114,17 @@ fn batch_counters_account_for_every_query() {
     let queries = build_queries(&net, &profiles);
     let unique = queries.len() / 3; // three reps share each key
 
-    // jobs = 1: the sequential reference path counts queries but never
-    // consults the cache.
-    let reference = PtdrService::new(net.clone(), profiles.clone()).with_jobs(1);
+    // jobs = 1, cold cache: one worker, so each unique key misses
+    // exactly once and every repeat hits.
+    let inline = PtdrService::new(net.clone(), profiles.clone()).with_jobs(1);
     let before = everest_telemetry::metrics().snapshot();
-    reference.route_batch(&queries);
+    inline.route_batch(&queries);
     let after = everest_telemetry::metrics().snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
     assert_eq!(delta("ptdr.queries"), queries.len() as u64);
-    assert_eq!(delta("ptdr.cache.hit"), 0);
-    assert_eq!(delta("ptdr.cache.miss"), 0);
-    assert_eq!(reference.cache_len(), 0, "jobs=1 must not populate the cache");
+    assert_eq!(delta("ptdr.cache.miss"), unique as u64);
+    assert_eq!(delta("ptdr.cache.hit"), (queries.len() - unique) as u64);
+    assert_eq!(inline.cache_len(), unique);
 
     // jobs = 4, cold cache: at least one miss per unique key (two
     // workers may race a cold key and both miss — harmless, since the

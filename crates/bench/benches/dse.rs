@@ -1,9 +1,10 @@
 //! E18: parallel, memoized design-space exploration. Compiles a
 //! four-kernel source (two structurally identical pairs) over the default
-//! design space at `jobs = 1` (sequential reference), `2` and `4`
-//! (pooled, memoized engine), checks the outputs are bit-identical, and
-//! writes the wall-clock/cache trajectory to `BENCH_dse.json` at the
-//! repository root.
+//! design space with a cold synthesis memo at `jobs = 1`, `2` and `4`,
+//! checks the outputs and memo counters are identical, and writes the
+//! wall-clock/cache trajectory to `BENCH_dse.json` at the repository
+//! root. Every worker count runs the same memoized engine, so the
+//! speedup measures parallelism alone.
 //!
 //! Run with `cargo bench -p everest-bench --bench dse`.
 
@@ -98,14 +99,20 @@ fn measure(jobs: usize) -> (Run, String) {
 }
 
 fn main() {
-    let mut runs = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     let mut reference_fp: Option<String> = None;
     for jobs in [1usize, 2, 4] {
         let (run, fp) = measure(jobs);
         match &reference_fp {
             None => reference_fp = Some(fp),
             Some(reference) => {
-                assert_eq!(reference, &fp, "jobs={jobs} diverged from the sequential reference");
+                assert_eq!(reference, &fp, "jobs={jobs} diverged from jobs=1");
+                let first = &runs[0];
+                assert_eq!(
+                    (run.cache_hits, run.cache_misses),
+                    (first.cache_hits, first.cache_misses),
+                    "jobs={jobs} memo counters diverged from jobs=1"
+                );
             }
         }
         println!(
@@ -124,7 +131,10 @@ fn main() {
     let wall_4 = runs[runs.len() - 1].wall_ms;
     let speedup = wall_1 / wall_4;
     let hit_rate = runs[runs.len() - 1].hit_rate;
-    println!("speedup jobs=4 vs jobs=1: {speedup:.2}x, memoized hit rate {:.0}%", hit_rate * 100.0);
+    println!(
+        "speedup jobs=4 vs jobs=1 (parallelism only): {speedup:.2}x, memo hit rate {:.0}%",
+        hit_rate * 100.0
+    );
 
     let json = Value::Object(vec![
         ("bench".to_owned(), Value::Str("dse".to_owned())),

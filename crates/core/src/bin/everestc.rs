@@ -25,9 +25,9 @@
 //!
 //! The global `--trace <out.json>` flag records every compiler phase and
 //! writes a Chrome trace-event file loadable in `chrome://tracing` or
-//! Perfetto. The global `--jobs <n>` flag sets the DSE worker count:
-//! `--jobs 1` runs the sequential reference evaluator, `--jobs 2` and up
-//! the pooled, memoized engine — outputs are identical either way.
+//! Perfetto. The global `--jobs <n>` flag sets the worker count of every
+//! pooled engine (DSE, dataset, PTDR routing, serving, offload); it
+//! changes nothing but parallelism — outputs are identical at any count.
 //!
 //! Observability: the global `--metrics <path>` flag writes the final
 //! metrics snapshot of any subcommand — OpenMetrics text when the path
@@ -93,9 +93,8 @@ const GLOBAL_FLAGS: &[FlagDoc] = &[
         name: "--jobs",
         value: "<n>",
         help: "worker count for design-space exploration and the PTDR routing \
-               service (default: the host's available parallelism, at least \
-               2); 1 runs the sequential reference evaluator, 2+ the pooled, \
-               cached engine — results are identical either way",
+               service (default: the host's available parallelism); 1 runs the \
+               same memoized engine inline — results are identical at any count",
     },
 ];
 
@@ -380,8 +379,7 @@ fn extract_trace_flag(args: &mut Vec<String>) -> Result<Option<String>, String> 
 }
 
 /// Extracts the global `--jobs <n>` / `--jobs=<n>` flag, valid in any
-/// position. Defaults to the host's available parallelism (at least 2, so
-/// the memoized engine is on by default).
+/// position. Defaults to the host's available parallelism.
 fn extract_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
     let raw = if let Some(at) = args.iter().position(|a| a == "--jobs") {
         if at + 1 >= args.len() {
@@ -400,7 +398,7 @@ fn extract_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!("--jobs requires a positive worker count, got '{value}'")),
         },
-        None => Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2)),
+        None => Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
     }
 }
 

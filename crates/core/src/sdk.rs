@@ -184,9 +184,8 @@ pub struct Sdk {
     pub hls: HlsConfig,
     /// The target system model.
     pub system: System,
-    /// DSE worker count: `1` runs the sequential reference evaluator,
-    /// `>= 2` the pooled, memoized engine. Outputs are bit-identical
-    /// either way.
+    /// DSE worker count (`1` runs the pooled, memoized engine inline on
+    /// the calling thread). Outputs are bit-identical at any count.
     pub jobs: usize,
     /// The armed fault-injection plan, if any (see
     /// [`SdkBuilder::fault_plan`]).

@@ -45,6 +45,7 @@ use crate::error::{RuntimeError, RuntimeResult};
 use crate::monitor::RuntimeMonitor;
 use everest_platform::{Attachment, Link, LinkProfile, System};
 use everest_telemetry::LogHistogram;
+use everest_workflow::seed::mix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -111,14 +112,6 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// SplitMix64 finalizer: decorrelates the combined seed words.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A seeded, deterministic fault-injection plan.

@@ -3,15 +3,13 @@
 //! Software variants use a roofline model (compute roof vs. bandwidth
 //! roof, adjusted by threading, tiling and layout); hardware variants run
 //! the actual HLS flow from [`everest_hls`] and add the attachment's
-//! transfer cost. Every entry point takes the typed [`KnobVector`]; the
-//! historical `&[Transform]` entry points survive as deprecated wrappers
-//! for one release.
+//! transfer cost. Every entry point takes the typed [`KnobVector`].
 
 use crate::analysis::KernelWorkload;
 use crate::knob::KnobVector;
-use crate::transform::{Layout, Target, Transform};
+use crate::transform::{Layout, Target};
 use crate::variant::Metrics;
-use everest_hls::accel::{synthesize, HlsConfig, SynthSummary};
+use everest_hls::accel::SynthSummary;
 use everest_hls::HlsError;
 use everest_ir::Func;
 
@@ -29,12 +27,16 @@ const BUS_BW_GBPS: f64 = 22.0;
 const NET_LAT_US: f64 = 4.0;
 const NET_BW_GBPS: f64 = 1.2;
 
-/// Evaluates one design point, synthesizing hardware points directly
-/// (the sequential reference path).
+/// Evaluates one design point. Hardware points synthesize through the
+/// shared [synthesis cache](everest_hls::cache): points whose
+/// HLS-relevant knobs match an already-synthesized point (same kernel
+/// structure, different software knobs or attachment) reuse its summary.
+/// The memo is pure in kernel structure × HLS configuration, so the
+/// metrics are bit-identical to synthesizing afresh.
 ///
 /// # Errors
 ///
-/// Propagates [`HlsError`] from hardware synthesis.
+/// Propagates [`HlsError`] from hardware synthesis on a cache miss.
 pub fn evaluate_knob(
     func: &Func,
     workload: &KernelWorkload,
@@ -43,54 +45,21 @@ pub fn evaluate_knob(
     match knob {
         KnobVector::Software { .. } => Ok(software_metrics_knob(workload, knob)),
         KnobVector::Hardware { target, .. } => {
-            let summary = synthesize(func, &knob.hls_config())?.summary();
+            let summary = summarize_hardware(func, knob)?;
             Ok(metrics_from_summary(&summary, workload, *target))
         }
     }
 }
 
-/// Evaluates one design point through the shared
-/// [synthesis cache](everest_hls::cache): hardware points whose
-/// HLS-relevant knobs match an already-synthesized point reuse its
-/// summary instead of re-running synthesis. Metrics are derived from the
-/// same [`SynthSummary`] either way, so the result is bit-identical to
-/// [`evaluate_knob`].
+/// The synthesis summary of a hardware point, through the memo cache.
+/// Software points are a caller bug.
 ///
 /// # Errors
 ///
-/// Propagates [`HlsError`] from hardware synthesis on a cache miss.
-pub fn evaluate_knob_memo(
-    func: &Func,
-    workload: &KernelWorkload,
-    knob: &KnobVector,
-) -> Result<Metrics, HlsError> {
-    match knob {
-        KnobVector::Software { .. } => Ok(software_metrics_knob(workload, knob)),
-        KnobVector::Hardware { target, .. } => {
-            let summary = everest_hls::cache::synthesize_cached(func, &knob.hls_config())?;
-            Ok(metrics_from_summary(&summary, workload, *target))
-        }
-    }
-}
-
-/// The synthesis summary of a hardware point, through the memo cache or
-/// directly (both yield bit-identical summaries). Software points are a
-/// caller bug.
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from synthesis.
-pub(crate) fn summarize_hardware(
-    func: &Func,
-    knob: &KnobVector,
-    memoize: bool,
-) -> Result<SynthSummary, HlsError> {
+/// Propagates [`HlsError`] from synthesis on a cache miss.
+pub(crate) fn summarize_hardware(func: &Func, knob: &KnobVector) -> Result<SynthSummary, HlsError> {
     debug_assert!(knob.is_hardware(), "software points have no synthesis summary");
-    if memoize {
-        everest_hls::cache::synthesize_cached(func, &knob.hls_config())
-    } else {
-        Ok(synthesize(func, &knob.hls_config())?.summary())
-    }
+    everest_hls::cache::synthesize_cached(func, &knob.hls_config())
 }
 
 /// Roofline software model over the typed knobs.
@@ -147,49 +116,6 @@ pub(crate) fn metrics_from_summary(
         area_luts: summary.area.luts,
         area_brams: summary.area.brams,
     }
-}
-
-/// Evaluates one variant specification (deprecated transform-list entry
-/// point).
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from hardware synthesis.
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to evaluate_knob instead")]
-pub fn evaluate(
-    func: &Func,
-    workload: &KernelWorkload,
-    spec: &[Transform],
-) -> Result<Metrics, HlsError> {
-    evaluate_knob(func, workload, &KnobVector::from_spec(spec))
-}
-
-/// Memoized evaluation of one variant specification (deprecated
-/// transform-list entry point).
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from hardware synthesis on a cache miss.
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to evaluate_knob_memo instead")]
-pub fn evaluate_memo(
-    func: &Func,
-    workload: &KernelWorkload,
-    spec: &[Transform],
-) -> Result<Metrics, HlsError> {
-    evaluate_knob_memo(func, workload, &KnobVector::from_spec(spec))
-}
-
-/// Roofline software model (deprecated transform-list entry point).
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to software_metrics_knob instead")]
-pub fn software_metrics(workload: &KernelWorkload, spec: &[Transform]) -> Metrics {
-    software_metrics_knob(workload, &KnobVector::from_spec(spec))
-}
-
-/// The HLS configuration a variant specification selects (deprecated:
-/// derive it from the typed knobs with [`KnobVector::hls_config`]).
-#[deprecated(since = "0.1.0", note = "use KnobVector::hls_config instead")]
-pub fn hls_config(spec: &[Transform]) -> HlsConfig {
-    KnobVector::from_spec(spec).hls_config()
 }
 
 #[cfg(test)]
@@ -285,8 +211,11 @@ mod tests {
         let f = mm_kernel(16);
         let w = analyze(&f);
         let knob = hw(Target::FpgaBus, false);
-        let direct = evaluate_knob(&f, &w, &knob).unwrap();
-        let memo = evaluate_knob_memo(&f, &w, &knob).unwrap();
-        assert_eq!(direct, memo, "memoized metrics must be bit-identical to direct synthesis");
+        let direct = everest_hls::accel::synthesize(&f, &knob.hls_config()).unwrap().summary();
+        let direct = metrics_from_summary(&direct, &w, Target::FpgaBus);
+        for _ in 0..2 {
+            let memo = evaluate_knob(&f, &w, &knob).unwrap();
+            assert_eq!(direct, memo, "cached metrics must be bit-identical to direct synthesis");
+        }
     }
 }

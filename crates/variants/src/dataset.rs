@@ -23,6 +23,7 @@ use everest_hls::accel::SynthSummary;
 use everest_hls::cache;
 use everest_ir::Func;
 use everest_workflow::pool;
+use everest_workflow::seed as splitmix64;
 
 /// The hardware-knob values the sampler draws from. Wider than
 /// [`crate::space::DesignSpace`]'s defaults on purpose: a surrogate
@@ -59,8 +60,8 @@ impl KnobDomains {
     /// function of its arguments, so row `i` is the same knob vector no
     /// matter which worker draws it or how many points surround it.
     pub fn sample(&self, seed: u64, index: usize) -> KnobVector {
-        let mut state = seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+        let mut state = seed ^ (index as u64 + 1).wrapping_mul(splitmix64::GAMMA);
+        let mut draw = |n: usize| (splitmix64::next(&mut state) % n as u64) as usize;
         KnobVector::Hardware {
             target: self.targets[draw(self.targets.len())],
             banks: self.banks[draw(self.banks.len())],
@@ -85,16 +86,6 @@ impl KnobDomains {
         }
         Ok(())
     }
-}
-
-/// splitmix64: the standard 64-bit mixing stream (Steele et al.),
-/// dependency-free and bit-stable everywhere.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Configuration of one dataset production run.

@@ -31,6 +31,7 @@ use everest_hls::accel::SynthSummary;
 use everest_hls::{cache, AreaReport};
 use everest_ir::Func;
 use everest_workflow::pool;
+use everest_workflow::seed as splitmix64;
 
 /// Configuration of the surrogate-pruned exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,17 +133,10 @@ fn dominates3(a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
 /// `seed`, returned in ascending order. Pure in `(seed, total, n)`.
 fn training_indices(seed: u64, total: usize, n: usize) -> Vec<usize> {
     let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut pool: Vec<usize> = (0..total).collect();
     let n = n.min(total);
     for i in 0..n {
-        let j = i + (next() % (total - i) as u64) as usize;
+        let j = i + (splitmix64::next(&mut state) % (total - i) as u64) as usize;
         pool.swap(i, j);
     }
     let mut chosen = pool[..n].to_vec();
@@ -233,11 +227,10 @@ pub fn generate_all_pruned(
 
     // --- Phase 1: exact synthesis of the training sample. ---
     let train_at = training_indices(cfg.seed, hw_pairs.len(), want);
-    let memoize = jobs >= 2;
     let train_pairs: Vec<(usize, usize)> = train_at.iter().map(|&t| hw_pairs[t]).collect();
     let summaries =
         pool::parallel_map("dse.explore.train", jobs, train_pairs.clone(), |_, (k, i)| {
-            cost::summarize_hardware(funcs[k], &knobs[i], memoize).map(|s| (k, i, s))
+            cost::summarize_hardware(funcs[k], &knobs[i]).map(|s| (k, i, s))
         });
     let mut rows = Vec::with_capacity(summaries.len());
     let mut exact_summaries: Vec<Option<SynthSummary>> = vec![None; points];
@@ -374,7 +367,7 @@ pub fn generate_all_pruned(
     let survivor_count = survivors.len();
     let evaluated =
         pool::parallel_map("dse.explore.exact", jobs, survivors.clone(), |_, (k, i)| {
-            cost::summarize_hardware(funcs[k], &knobs[i], memoize).map(|s| (k, i, s))
+            cost::summarize_hardware(funcs[k], &knobs[i]).map(|s| (k, i, s))
         });
     for result in evaluated {
         let (k, i, summary) = result.map_err(VariantError::Hls)?;

@@ -63,8 +63,8 @@ pub use variant::{Metrics, Variant};
 use everest_ir::Func;
 use everest_workflow::pool;
 
-/// Generates the full variant set for a kernel over a design space using
-/// the sequential reference evaluator (`jobs = 1`).
+/// Generates the full variant set for a kernel over a design space on
+/// the calling thread (`jobs = 1`).
 ///
 /// # Errors
 ///
@@ -90,16 +90,11 @@ pub fn generate_jobs(
 
 /// The DSE engine: evaluates every design point of every kernel, fanning
 /// the flattened (kernel × point) batch across `jobs` pool workers.
-///
-/// * `jobs == 1` runs the sequential reference flow: every point is
-///   evaluated in enumeration order on the calling thread and every
-///   hardware point synthesizes directly (no memoization) — exactly the
-///   historical behavior.
-/// * `jobs >= 2` engages the parallel, memoized engine: points are
-///   evaluated concurrently and hardware synthesis goes through the
-///   shared [`everest_hls::cache`], collapsing the redundancy between
-///   points that differ only in software knobs or attachment target and
-///   sharing results across structurally identical kernels.
+/// Hardware synthesis always goes through the shared
+/// [`everest_hls::cache`], collapsing the redundancy between points that
+/// differ only in software knobs or attachment target and sharing
+/// results across structurally identical kernels; `jobs` only sets the
+/// worker count (`1` runs the same engine inline on the calling thread).
 ///
 /// Results are written back by enumeration index, so variant ids,
 /// ordering and metrics are bit-identical at any worker count; on
@@ -126,13 +121,8 @@ pub fn generate_all(
 
     let items: Vec<(usize, usize)> =
         (0..funcs.len()).flat_map(|k| (0..points).map(move |i| (k, i))).collect();
-    let memoize = jobs >= 2;
     let evaluated = pool::parallel_map("dse.worker", jobs, items, |_, (k, i)| {
-        if memoize {
-            cost::evaluate_knob_memo(funcs[k], &workloads[k], &knobs[i])
-        } else {
-            cost::evaluate_knob(funcs[k], &workloads[k], &knobs[i])
-        }
+        cost::evaluate_knob(funcs[k], &workloads[k], &knobs[i])
     });
 
     let mut sets = Vec::with_capacity(funcs.len());
@@ -154,4 +144,56 @@ pub fn generate_all(
         sets.push(variants);
     }
     Ok(sets)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use everest_hls::accel::synthesize;
+
+    #[test]
+    fn every_job_count_matches_a_fold_over_uncached_synthesis() {
+        let module = everest_dsl::compile_kernels(
+            "kernel mm(a: tensor<16x16xf64>, b: tensor<16x16xf64>) -> tensor<16x16xf64> { return a @ b; }
+             kernel mm2(a: tensor<16x16xf64>, b: tensor<16x16xf64>) -> tensor<16x16xf64> { return a @ b; }
+             kernel smooth(x: tensor<64xf64>) -> tensor<64xf64> { return stencil(x, [0.25, 0.5, 0.25]); }",
+        )
+        .unwrap();
+        let funcs: Vec<&Func> = ["mm", "mm2", "smooth"].map(|n| module.func(n).unwrap()).to_vec();
+        let space = space::DesignSpace::default();
+        let knobs = space.enumerate_knobs();
+        // The reference: every point evaluated on its own, hardware points
+        // synthesized afresh with no memo in the way.
+        let reference: Vec<Vec<Variant>> = funcs
+            .iter()
+            .map(|func| {
+                let workload = analysis::analyze(func);
+                knobs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, knob)| {
+                        let metrics = match knob {
+                            KnobVector::Software { .. } => {
+                                cost::software_metrics_knob(&workload, knob)
+                            }
+                            KnobVector::Hardware { target, .. } => {
+                                let summary =
+                                    synthesize(func, &knob.hls_config()).unwrap().summary();
+                                cost::metrics_from_summary(&summary, &workload, *target)
+                            }
+                        };
+                        Variant {
+                            id: format!("{}#{i}", func.name),
+                            kernel: func.name.clone(),
+                            transforms: knob.to_transforms(),
+                            metrics,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for jobs in [1, 2, 4] {
+            assert_eq!(generate_all(&funcs, &space, jobs).unwrap(), reference, "jobs={jobs}");
+        }
+    }
 }

@@ -5,15 +5,13 @@ use std::fmt;
 /// Result alias for workflow operations.
 pub type WorkflowResult<T> = Result<T, WorkflowError>;
 
-/// Errors raised by graph construction, scheduling or execution.
+/// Errors raised by graph construction or scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkflowError {
     /// A dependency references a task that does not exist (yet).
     UnknownTask(usize),
     /// No workers were provided.
     NoWorkers,
-    /// A task execution failed (real executor).
-    TaskFailed { task: String, reason: String },
 }
 
 impl fmt::Display for WorkflowError {
@@ -21,9 +19,6 @@ impl fmt::Display for WorkflowError {
         match self {
             WorkflowError::UnknownTask(id) => write!(f, "unknown task id {id}"),
             WorkflowError::NoWorkers => write!(f, "worker pool is empty"),
-            WorkflowError::TaskFailed { task, reason } => {
-                write!(f, "task '{task}' failed: {reason}")
-            }
         }
     }
 }
@@ -38,9 +33,5 @@ mod tests {
     fn display_messages() {
         assert_eq!(WorkflowError::UnknownTask(3).to_string(), "unknown task id 3");
         assert_eq!(WorkflowError::NoWorkers.to_string(), "worker pool is empty");
-        assert_eq!(
-            WorkflowError::TaskFailed { task: "t".into(), reason: "boom".into() }.to_string(),
-            "task 't' failed: boom"
-        );
     }
 }

@@ -10,10 +10,11 @@
 //! * [`scheduler`] — FIFO, min-load and HEFT schedulers;
 //! * [`exec`] — a deterministic distributed-execution simulator producing
 //!   makespans, schedules and utilization;
-//! * [`parallel`] — a real multi-threaded executor that runs closures as
-//!   tasks with dependency-ordered hand-off;
 //! * [`pool`] — a scoped parallel-map over independent items with
-//!   index-stable result order (the DSE engine's fan-out primitive);
+//!   index-stable result order: the one in-process executor behind DSE,
+//!   PTDR serving, dataset production and the offload lane fold;
+//! * [`seed`] — the one seeded mixer (SplitMix64) behind every
+//!   reproducible stream and hash in the workspace;
 //! * [`race`] — a static detector for read-write/write-write dataset
 //!   conflicts between tasks with no ordering edge;
 //! * [`fuse`] — the stream-fusion legality classifier: every dataset edge
@@ -41,10 +42,10 @@ pub mod error;
 pub mod exec;
 pub mod fuse;
 pub mod graph;
-pub mod parallel;
 pub mod pool;
 pub mod race;
 pub mod scheduler;
+pub mod seed;
 pub mod worker;
 
 pub use error::{WorkflowError, WorkflowResult};

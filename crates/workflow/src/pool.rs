@@ -3,9 +3,9 @@
 //! by input index, so the output order is identical to a sequential map
 //! at any worker count.
 //!
-//! This is the building block the DSE engine uses to fan out design-point
-//! evaluation; it reuses the same crossbeam channel + parking_lot shims
-//! as [`crate::parallel`].
+//! This is the workspace's one in-process executor: the DSE engine, the
+//! dataset factory, PTDR batch serving, the serving tier and the offload
+//! lane fold all fan out through it.
 
 use crossbeam::channel;
 use everest_telemetry::LogHistogram;
@@ -17,16 +17,19 @@ use std::time::Instant;
 /// Results land at the index of the item that produced them, so
 /// `parallel_map(label, jobs, items, f)` returns exactly what the
 /// sequential `items.into_iter().enumerate().map(f).collect()` would,
-/// for any `jobs`. With `jobs <= 1` (or fewer than two items) the map
-/// runs inline on the calling thread with no pool setup.
+/// for any `jobs`. With `jobs <= 1` (or fewer than two items) the one
+/// worker runs inline on the calling thread with no pool setup; it runs
+/// the same worker body as the threaded case, so telemetry is the same
+/// at every worker count.
 ///
 /// Each worker opens a telemetry span named `label` (category `pool`)
 /// tagged with its worker index and the number of items it processed,
-/// and records two histograms: `pool.queue_wait_us` (time from batch
-/// start to an item's dequeue) and `pool.task_run_us` (time inside `f`).
-/// Observations accumulate in per-worker [`LogHistogram`]s and merge
-/// into the global registry once per worker, so the hot loop never
-/// touches a shared lock for metrics.
+/// brackets its run with `pool.worker` flight events, and records two
+/// histograms: `pool.queue_wait_us` (time from batch start to an item's
+/// dequeue) and `pool.task_run_us` (time inside `f`). Observations
+/// accumulate in per-worker [`LogHistogram`]s and merge into the global
+/// registry once per worker, so the hot loop never touches a shared
+/// lock for metrics.
 pub fn parallel_map<T, R, F>(label: &str, jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -36,21 +39,10 @@ where
     let n = items.len();
     let jobs = jobs.max(1).min(n.max(1));
     if jobs <= 1 {
-        let mut span = everest_telemetry::span(label, "pool");
-        span.attr("worker", 0);
-        span.attr("items", n);
-        let mut run_hist = LogHistogram::new();
-        let out = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let t = Instant::now();
-                let out = f(i, item);
-                run_hist.observe(t.elapsed().as_secs_f64() * 1e6);
-                out
-            })
-            .collect();
-        everest_telemetry::metrics().merge_histogram("pool.task_run_us", &run_hist);
+        let mut out = Vec::with_capacity(n);
+        let mut items = items.into_iter().enumerate();
+        // Items arrive in index order, so pushing keeps results in place.
+        run_worker(label, 0, Instant::now(), || items.next(), &f, |_, r| out.push(r));
         return out;
     }
 
@@ -70,39 +62,62 @@ where
             let results = &results;
             let f = &f;
             scope.spawn(move || {
-                let mut span = everest_telemetry::span(label, "pool");
-                span.attr("worker", worker);
-                everest_telemetry::flight().record(
-                    everest_telemetry::EventKind::SpanBegin,
-                    "pool.worker",
-                    worker as f64,
+                run_worker(
+                    label,
+                    worker,
+                    batch_start,
+                    || work_rx.try_recv(),
+                    f,
+                    |i, r| {
+                        results.lock()[i] = Some(r);
+                    },
                 );
-                let mut wait_hist = LogHistogram::new();
-                let mut run_hist = LogHistogram::new();
-                let mut done = 0usize;
-                while let Some((i, item)) = work_rx.try_recv() {
-                    // One clock read serves both sides: the end of the
-                    // queue wait is the start of the run.
-                    let t = Instant::now();
-                    wait_hist.observe((t - batch_start).as_secs_f64() * 1e6);
-                    let out = f(i, item);
-                    run_hist.observe(t.elapsed().as_secs_f64() * 1e6);
-                    results.lock()[i] = Some(out);
-                    done += 1;
-                }
-                let registry = everest_telemetry::metrics();
-                registry.merge_histogram("pool.queue_wait_us", &wait_hist);
-                registry.merge_histogram("pool.task_run_us", &run_hist);
-                everest_telemetry::flight().record(
-                    everest_telemetry::EventKind::SpanEnd,
-                    "pool.worker",
-                    done as f64,
-                );
-                span.attr("items", done);
             });
         }
     });
     results.into_inner().into_iter().map(|slot| slot.expect("worker filled slot")).collect()
+}
+
+/// One worker's loop: pulls `(index, item)` pairs from `next` until it
+/// runs dry, hands each result to `deliver`, and reports its span,
+/// flight events and histograms.
+fn run_worker<T, R>(
+    label: &str,
+    worker: usize,
+    batch_start: Instant,
+    mut next: impl FnMut() -> Option<(usize, T)>,
+    f: &impl Fn(usize, T) -> R,
+    mut deliver: impl FnMut(usize, R),
+) {
+    let mut span = everest_telemetry::span(label, "pool");
+    span.attr("worker", worker);
+    everest_telemetry::flight().record(
+        everest_telemetry::EventKind::SpanBegin,
+        "pool.worker",
+        worker as f64,
+    );
+    let mut wait_hist = LogHistogram::new();
+    let mut run_hist = LogHistogram::new();
+    let mut done = 0usize;
+    while let Some((i, item)) = next() {
+        // One clock read serves both sides: the end of the queue wait is
+        // the start of the run.
+        let t = Instant::now();
+        wait_hist.observe((t - batch_start).as_secs_f64() * 1e6);
+        let out = f(i, item);
+        run_hist.observe(t.elapsed().as_secs_f64() * 1e6);
+        deliver(i, out);
+        done += 1;
+    }
+    let registry = everest_telemetry::metrics();
+    registry.merge_histogram("pool.queue_wait_us", &wait_hist);
+    registry.merge_histogram("pool.task_run_us", &run_hist);
+    everest_telemetry::flight().record(
+        everest_telemetry::EventKind::SpanEnd,
+        "pool.worker",
+        done as f64,
+    );
+    span.attr("items", done);
 }
 
 #[cfg(test)]

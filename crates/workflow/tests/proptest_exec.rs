@@ -1,14 +1,11 @@
 //! Property tests for the workflow platform: every policy produces valid
-//! schedules on random graphs, and the threaded executor computes the
-//! same values as a sequential evaluation.
+//! schedules on random graphs.
 
 use everest_workflow::exec::simulate;
 use everest_workflow::graph::TaskGraph;
-use everest_workflow::parallel::ParallelGraph;
 use everest_workflow::scheduler::Policy;
 use everest_workflow::worker::Worker;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn random_graph(seed: u64, layers: usize, width: usize) -> TaskGraph {
     TaskGraph::random(seed, layers.max(1), width.max(1), 200.0)
@@ -65,32 +62,4 @@ proptest! {
         prop_assert!(heft <= fifo * 1.5, "heft {} vs fifo {}", heft, fifo);
     }
 
-    #[test]
-    fn threaded_executor_matches_sequential_evaluation(
-        seeds in prop::collection::vec(1i64..100, 1..6),
-        threads in 1usize..6,
-    ) {
-        // Build a chain DAG and compare against a sequential fold with
-        // identical structure.
-        let mut g: ParallelGraph<i64> = ParallelGraph::new();
-        let mut expected: Vec<i64> = Vec::new();
-        let mut ids = Vec::new();
-        for (i, s) in seeds.iter().enumerate() {
-            let s = *s;
-            if i == 0 {
-                ids.push(g.add_task("seed", &[], move |_| Ok(s)));
-                expected.push(s);
-            } else {
-                let dep = ids[i - 1];
-                ids.push(g.add_task(format!("t{i}"), &[dep], move |ins: &[Arc<i64>]| {
-                    Ok(*ins[0] * 2 + s)
-                }));
-                expected.push(expected[i - 1] * 2 + s);
-            }
-        }
-        let results = g.run(threads).expect("executes");
-        for (id, want) in ids.iter().zip(&expected) {
-            prop_assert_eq!(*results[*id], *want);
-        }
-    }
 }

@@ -30,18 +30,29 @@ fn route_serves_cold_and_warm_passes_with_cache_stats() {
     assert!(warm.contains("/0m"), "warm pass must not miss: {warm}");
 }
 
+/// The `(hits, misses)` a `cold:`/`warm:` line reports as `cache {h}h/{m}m`.
+fn cache_counts(line: &str) -> (u64, u64) {
+    let field = line.split("cache ").nth(1).and_then(|rest| rest.split_whitespace().next());
+    let (hits, misses) = field.and_then(|f| f.split_once('/')).expect("cache field");
+    let parse = |s: &str, unit: char| s.trim_end_matches(unit).parse::<u64>().expect("count");
+    (parse(hits, 'h'), parse(misses, 'm'))
+}
+
 #[test]
-fn route_jobs_one_is_the_uncached_reference() {
+fn route_jobs_one_serves_through_the_cache() {
+    // 80 queries cycle 16 routes x 4 departures, so the cold pass
+    // repeats at least 16 keys even if two routes coincide.
     let out = everestc()
-        .args(["route", "--queries", "8", "--samples", "100", "--jobs", "1"])
+        .args(["route", "--queries", "80", "--samples", "100", "--jobs", "1"])
         .output()
         .expect("everestc runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // The sequential reference never consults the cache, cold or warm.
-    for line in stdout.lines().filter(|l| l.starts_with("cold:") || l.starts_with("warm:")) {
-        assert!(line.contains("cache 0h/0m"), "jobs=1 must bypass the cache: {line}");
-    }
+    let line = |phase: &str| stdout.lines().find(|l| l.starts_with(phase)).expect("phase line");
+    let (hits, misses) = cache_counts(line("cold:"));
+    assert_eq!(hits + misses, 80, "every cold lookup counted: {stdout}");
+    assert!(hits >= 16, "jobs=1 must answer repeated keys from the cache: {stdout}");
+    assert_eq!(cache_counts(line("warm:")), (80, 0), "warm pass must be all hits: {stdout}");
 }
 
 #[test]

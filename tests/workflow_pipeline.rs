@@ -1,14 +1,14 @@
 //! Workflow integration: the workflow DSL lowers to the `df` dialect and
 //! to a HyperLoom-style task graph, which then executes both on the
-//! simulated distributed platform and for real on the multi-threaded
-//! executor — with actual use-case computations inside the tasks.
+//! simulated distributed platform and for real on the worker pool — with
+//! actual use-case computations inside the tasks.
 
 use everest::apps::airquality::{reference_site, Meteo, Stability};
 use everest::apps::weather::{generate_truth, WindFarm};
 use everest::dsl::WorkflowSpec;
 use everest::task_graph_from_workflow;
 use everest::workflow::exec::simulate;
-use everest::workflow::parallel::ParallelGraph;
+use everest::workflow::pool::parallel_map;
 use everest::workflow::{Policy, Worker};
 
 const PIPELINE: &str = r#"
@@ -61,49 +61,34 @@ fn simulated_execution_scales_with_workers_and_scheduler() {
     assert!(heft.makespan_us <= fifo.makespan_us + 1e-9);
 }
 
-#[test]
-fn real_threaded_execution_computes_use_case_numbers() {
-    // The same pipeline as real closures: forecast wind, compute farm
-    // power, and run the plume model, fanned out over threads.
-    let mut g: ParallelGraph<Vec<f64>> = ParallelGraph::new();
-    let met = g.add_task("met", &[], |_| Ok(vec![42.0]));
-    let wind = g.add_task("forecast_wind", &[met], |ins| {
-        let seed = ins[0][0] as u64;
-        let truth = generate_truth(seed, 40.0, 2.0);
-        Ok(truth.hourly.iter().map(|f| f.mean()).collect())
-    });
-    let power = g.add_task("farm_power", &[wind], |ins| {
-        // Apply the power curve to the hourly mean winds of a 10-turbine farm.
-        Ok(ins[0].iter().map(|w| WindFarm::power_fraction(*w) * 3.0 * 10.0).collect())
-    });
-    let plume = g.add_task("plume", &[met], |_| {
-        let model = reference_site(24);
-        let m = Meteo { wind_ms: 2.0, wind_dir_rad: 0.0, stability: Stability::E };
-        let (frac, peak) = model.exceedance(&m, 25.0);
-        Ok(vec![frac, peak])
-    });
-    let _sink = g.add_task("report", &[power, plume], |ins| {
-        let peak_power = ins[0].iter().copied().fold(0.0, f64::max);
-        let peak_conc = ins[1][1];
-        Ok(vec![peak_power, peak_conc])
-    });
+/// The pipeline's wind chain as a real computation: forecast hourly
+/// winds from the station seed, then apply a 10-turbine farm's power
+/// curve.
+fn power_branch(met: f64) -> Vec<f64> {
+    let truth = generate_truth(met as u64, 40.0, 2.0);
+    truth.hourly.iter().map(|f| WindFarm::power_fraction(f.mean()) * 3.0 * 10.0).collect()
+}
 
-    let results = g.run(4).expect("pipeline executes");
-    let report = &results[4];
-    assert!(report[0] > 0.0, "farm produces power at some hour");
-    assert!(report[1] > 0.0, "plume model produces concentrations");
-    // Power is bounded by the rated farm output.
-    assert!(report[0] <= 30.0 + 1e-9);
+/// The pipeline's plume task: exceedance fraction and peak concentration.
+fn plume_branch(_met: f64) -> Vec<f64> {
+    let model = reference_site(24);
+    let m = Meteo { wind_ms: 2.0, wind_dir_rad: 0.0, stability: Stability::E };
+    let (frac, peak) = model.exceedance(&m, 25.0);
+    vec![frac, peak]
 }
 
 #[test]
-fn failure_in_one_task_aborts_the_workflow() {
-    let mut g: ParallelGraph<f64> = ParallelGraph::new();
-    let a = g.add_task("sensor", &[], |_| Ok(1.0));
-    let b = g.add_task("corrupted-decoder", &[a], |_| Err("bad CRC on FCD chunk".into()));
-    let _ = g.add_task("downstream", &[b], |ins| Ok(*ins[0] * 2.0));
-    let err = g.run(2).unwrap_err();
-    assert_eq!(err.to_string(), "task 'corrupted-decoder' failed: bad CRC on FCD chunk");
+fn real_threaded_execution_computes_use_case_numbers() {
+    // The two independent branches below `met` run as real closures on
+    // two pool workers; the report task joins them.
+    let branches: Vec<fn(f64) -> Vec<f64>> = vec![power_branch, plume_branch];
+    let outputs = parallel_map("workflow.branch", 2, branches, |_, branch| branch(42.0));
+    let peak_power = outputs[0].iter().copied().fold(0.0, f64::max);
+    let peak_conc = outputs[1][1];
+    assert!(peak_power > 0.0, "farm produces power at some hour");
+    assert!(peak_conc > 0.0, "plume model produces concentrations");
+    // Power is bounded by the rated farm output.
+    assert!(peak_power <= 30.0 + 1e-9);
 }
 
 #[test]
