@@ -4,7 +4,7 @@
 
 use crate::table::{f, Table};
 use everest::apps::{airquality, traffic, weather};
-use everest::hls::accel::{synthesize, HlsConfig};
+use everest::hls::accel::{summarize, synthesize, HlsConfig};
 use everest::hls::dift::DiftConfig;
 use everest::hls::memory::Scheme;
 use everest::platform::ecosystem::{all_placements, evaluate, Stage, Tier};
@@ -337,7 +337,7 @@ pub fn e6_memory_partitioning() -> String {
                 budget: everest::hls::schedule::ResourceBudget::uniform(8),
                 ..HlsConfig::default()
             };
-            let acc = synthesize(func, &config).unwrap();
+            let acc = summarize(func, &config).unwrap();
             t.row(&[
                 banks.to_string(),
                 scheme.to_string(),
@@ -377,7 +377,7 @@ pub fn e7_dift_overhead() -> String {
     for (name, src) in [("gemm", GEMM), ("smooth", STENCIL), ("activate", SIGMOID)] {
         let module = everest::dsl::compile_kernels(src).unwrap();
         let func = module.func(name).unwrap();
-        let plain = synthesize(func, &HlsConfig::default()).unwrap();
+        let plain = summarize(func, &HlsConfig::default()).unwrap();
         let hardened = synthesize(
             func,
             &HlsConfig { dift: Some(DiftConfig::default()), ..HlsConfig::default() },

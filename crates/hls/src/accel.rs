@@ -1,5 +1,6 @@
 //! The top-level HLS driver: from a kernel function to an
-//! [`Accelerator`] with latency, area, II and RTL artifacts.
+//! [`Accelerator`] with latency, area, II and RTL artifacts
+//! ([`synthesize`]), or to the numbers alone ([`summarize`]).
 
 use crate::binding::{bind, Binding};
 use crate::cdfg::Dfg;
@@ -9,7 +10,7 @@ use crate::memory::{Partitioning, Scheme};
 use crate::oplib::AreaReport;
 use crate::pipeline;
 use crate::rtl;
-use crate::schedule::{list_schedule, ResourceBudget};
+use crate::schedule::{list_schedule, ResourceBudget, Schedule};
 use crate::tensor_to_loops::lower_to_loops;
 use everest_ir::attr::Attr;
 use everest_ir::{Block, Func, Type, Value};
@@ -164,16 +165,60 @@ struct Stats {
     peak_area: AreaReport,
 }
 
-/// Runs the full HLS flow on `func`.
+/// What one synthesis run computes before any RTL text: the numeric
+/// outcome plus the top-level DFG, schedule and binding the FSMD is
+/// emitted from.
+struct Synthesized {
+    /// Name of the synthesized (lowered) function.
+    name: String,
+    summary: SynthSummary,
+    dift: Option<DiftReport>,
+    dfg: Dfg,
+    schedule: Schedule,
+    binding: Binding,
+}
+
+/// Runs the full HLS flow on `func` and returns the accelerator with its
+/// RTL.
 ///
 /// Accepts either a tensor-dialect kernel (it is lowered to loops first) or
-/// an already-lowered loop/memref function.
+/// an already-lowered loop/memref function. The RTL has one FSMD state
+/// per top-level cycle, so its size grows with the latency; callers that
+/// need only the numbers use [`summarize`].
 ///
 /// # Errors
 ///
 /// Returns [`HlsError`] if the function contains unsupported constructs or
 /// the configuration is invalid.
 pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
+    let s = synthesize_core(func, config)?;
+    let rtl = rtl::emit_module(&s.name, &s.dfg, &s.schedule, &s.binding);
+    Ok(Accelerator {
+        name: s.name,
+        latency_cycles: s.summary.latency_cycles,
+        innermost_ii: s.summary.innermost_ii,
+        pe: s.summary.pe,
+        area: s.summary.area,
+        clock_mhz: s.summary.clock_mhz,
+        rtl,
+        dift: s.dift,
+    })
+}
+
+/// Runs the HLS flow on `func` up to its numbers — the same
+/// [`SynthSummary`] as `synthesize(func, config)?.summary()`, without
+/// emitting RTL. Its cost grows with the ops of the kernel, not with the
+/// cycles it runs for; design-space exploration and the synthesis cache
+/// use it.
+///
+/// # Errors
+///
+/// Same failure modes as [`synthesize`].
+pub fn summarize(func: &Func, config: &HlsConfig) -> HlsResult<SynthSummary> {
+    Ok(synthesize_core(func, config)?.summary)
+}
+
+fn synthesize_core(func: &Func, config: &HlsConfig) -> HlsResult<Synthesized> {
     if config.banks == 0 {
         return Err(HlsError::Config("banks must be >= 1".into()));
     }
@@ -240,7 +285,7 @@ pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
         latency.max(1)
     };
 
-    let peak_binding = stats.peak_binding.clone().unwrap_or_default();
+    let peak_binding = stats.peak_binding.unwrap_or_default();
     let dift_report = config.dift.as_ref().map(|cfg| {
         let mut r = instrument(&peak_binding, buffer_elems, cfg);
         // Shadow logic replicates with the datapath.
@@ -252,17 +297,19 @@ pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
         latency_cycles += report.latency_overhead;
     }
 
-    let rtl_text = rtl::emit_module(&func.name, &dfg, &schedule, &binding);
-
-    Ok(Accelerator {
+    Ok(Synthesized {
         name: func.name.clone(),
-        latency_cycles,
-        innermost_ii: stats.innermost_ii,
-        pe: effective_pe,
-        area,
-        clock_mhz: config.clock_mhz,
-        rtl: rtl_text,
+        summary: SynthSummary {
+            latency_cycles,
+            innermost_ii: stats.innermost_ii,
+            pe: effective_pe,
+            area,
+            clock_mhz: config.clock_mhz,
+        },
         dift: dift_report,
+        dfg,
+        schedule,
+        binding,
     })
 }
 
@@ -314,8 +361,8 @@ pub fn synthesize_gated(func: &Func, config: &HlsConfig) -> HlsResult<(Accelerat
         return Ok((synthesize(func, config)?, gate));
     }
     // Untainted: synthesize both ways so the gate can report what the
-    // skipped shadow logic would have cost.
-    let with_dift = synthesize(func, config)?;
+    // skipped shadow logic would have cost; only the plain one needs RTL.
+    let with_dift = summarize(func, config)?;
     let plain_config = HlsConfig { dift: None, ..config.clone() };
     let plain = synthesize(func, &plain_config)?;
     gate.luts_saved = with_dift.area.luts.saturating_sub(plain.area.luts);
@@ -352,7 +399,7 @@ fn block_latency(
     block: &Block,
     config: &HlsConfig,
     stats: &mut Stats,
-) -> HlsResult<(u64, Dfg, crate::schedule::Schedule)> {
+) -> HlsResult<(u64, Dfg, Schedule)> {
     // First compute nested loop latencies (bottom-up).
     let mut loop_latencies: HashMap<usize, u64> = HashMap::new();
     for (pos, op) in block.ops.iter().enumerate() {
@@ -669,6 +716,42 @@ mod tests {
             synthesize(&f, &HlsConfig { banks: 0, ..HlsConfig::default() }),
             Err(HlsError::Config(_))
         ));
+    }
+
+    #[test]
+    fn summarize_matches_synthesize_without_rtl() {
+        let f = kernel(
+            "kernel mm(a: tensor<8x8xf64>, b: tensor<8x8xf64>) -> tensor<8x8xf64> { return a @ b; }",
+            "mm",
+        );
+        for config in [
+            HlsConfig::default(),
+            HlsConfig { pipeline: false, pe: 1, ..HlsConfig::default() },
+            HlsConfig { dift: Some(DiftConfig::default()), ..HlsConfig::default() },
+        ] {
+            assert_eq!(summarize(&f, &config).unwrap(), synthesize(&f, &config).unwrap().summary());
+        }
+    }
+
+    /// `a @ a` latencies along the size ladder. 128² and 256² are the
+    /// values the cycle-stepping scheduler computed; 4096² was out of
+    /// its reach (a 10¹⁰-cycle top level), and summarizing it now costs
+    /// what the smaller sizes cost.
+    #[test]
+    fn summarize_cost_does_not_grow_with_cycles() {
+        for (n, cycles) in [(128, 288_806), (256, 2_203_718), (4096, 8_617_198_598)] {
+            let f = kernel(
+                &format!(
+                    "kernel mm(a: tensor<{n}x{n}xf64>) -> tensor<{n}x{n}xf64> {{ return a @ a; }}"
+                ),
+                "mm",
+            );
+            assert_eq!(
+                summarize(&f, &HlsConfig::default()).unwrap().latency_cycles,
+                cycles,
+                "{n}²"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! to the key. Hits and misses are counted on the
 //! `dse.hls.cache.hit` / `dse.hls.cache.miss` telemetry counters.
 
-use crate::accel::{synthesize, HlsConfig, SynthSummary};
+use crate::accel::{summarize, HlsConfig, SynthSummary};
 use crate::error::HlsResult;
 use crate::memory::Scheme;
 use crate::oplib::FuKind;
@@ -131,7 +131,7 @@ impl SynthCache {
         everest_telemetry::flight().marker("dse.hls.cache.miss", 1.0);
         let mut span = everest_telemetry::span("hls.synthesize", "hls");
         span.attr("kernel", &func.name);
-        let summary = synthesize(func, config)?.summary();
+        let summary = summarize(func, config)?;
         *entry = Some(summary);
         everest_telemetry::metrics()
             .observe("dse.hls.cache.miss_synthesis_us", start.elapsed().as_secs_f64() * 1e6);
@@ -209,7 +209,7 @@ mod tests {
         let second = cache.get_or_synthesize(&f, &config).unwrap();
         assert_eq!(first, second);
         assert_eq!(cache.len(), 1);
-        let direct = synthesize(&f, &config).unwrap().summary();
+        let direct = crate::accel::synthesize(&f, &config).unwrap().summary();
         assert_eq!(first, direct, "cached summary must match direct synthesis bit-for-bit");
     }
 

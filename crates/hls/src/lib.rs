@@ -19,7 +19,8 @@
 //!    reports its area/latency overhead;
 //! 8. [`rtl`] emits a Verilog-subset FSMD description;
 //! 9. [`accel`] drives the whole flow and produces an [`accel::Accelerator`]
-//!    with latency, area and RTL artifacts;
+//!    with latency, area and RTL artifacts, or only the numeric
+//!    [`accel::SynthSummary`] ([`accel::summarize`], what DSE needs);
 //! 10. [`cache`] memoizes synthesis summaries by structural kernel hash +
 //!     configuration key, so design-space exploration never synthesizes
 //!     the same point twice.
@@ -52,7 +53,9 @@ pub mod rtl;
 pub mod schedule;
 pub mod tensor_to_loops;
 
-pub use accel::{synthesize, synthesize_gated, Accelerator, DiftGate, HlsConfig, SynthSummary};
+pub use accel::{
+    summarize, synthesize, synthesize_gated, Accelerator, DiftGate, HlsConfig, SynthSummary,
+};
 pub use cache::{synthesize_cached, SynthCache};
 pub use error::{HlsError, HlsResult};
 pub use memory::{stream_buffer_brams, stream_capacity_bytes, BRAM_BYTES};

@@ -7,21 +7,25 @@
 //! pipelined floating-point IP.
 //!
 //! The list scheduler is the inner loop of design-space exploration (one
-//! run per DSE candidate), so its scratch state lives in a reusable
-//! [`ScheduleArena`]: ready queues, in-degree counters, the ALAP
-//! priority table and a calendar-queue finish ring are bump-grown once
-//! and then recycled, and per-cycle issue counts use a fixed
-//! [`FuKind`]-indexed array instead of a hash map. After warm-up,
-//! [`ScheduleArena::list_schedule_into`] performs **zero heap
-//! allocations per candidate** (enforced by a counting-allocator test);
-//! the plain [`list_schedule`] entry point reuses a thread-local arena
-//! and allocates only its output.
+//! run per DSE candidate). It is event-driven: running ops sit in a
+//! min-heap of finish times, and when nothing is ready the clock jumps
+//! straight to the next finish, so a `loop.for` macro node whose latency
+//! is millions of cycles costs one heap entry, not millions of steps.
+//! Its scratch state lives in a reusable [`ScheduleArena`]: per-unit-kind
+//! ready heaps, the finish heap, in-degree counters and the ALAP
+//! priority table are grown once and then recycled, and per-cycle issue
+//! counts use a fixed [`FuKind`]-indexed array instead of a hash map.
+//! After warm-up, [`ScheduleArena::list_schedule_into`] performs **zero
+//! heap allocations per candidate** (enforced by a counting-allocator
+//! test); the plain [`list_schedule`] entry point reuses a thread-local
+//! arena and allocates only its output.
 
 use crate::cdfg::Dfg;
 use crate::error::{HlsError, HlsResult};
 use crate::oplib::FuKind;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Available functional-unit instances per kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,10 +111,19 @@ pub fn alap(dfg: &Dfg, deadline: u64) -> Schedule {
     Schedule { start, len: deadline }
 }
 
+/// Issue classes of the ready queues: one per [`FuKind`] (indexed by
+/// `FuKind as usize`) plus a last one for unit-free ops.
+const CLASSES: usize = FuKind::ALL.len() + 1;
+const UNIT_FREE: usize = FuKind::ALL.len();
+
+/// A min-first heap of `(key, node)` pairs.
+type MinHeap = BinaryHeap<Reverse<(u64, usize)>>;
+
 /// Reusable scratch for the list scheduler. Buffers grow to the largest
 /// DFG seen and are then recycled: scheduling a candidate no bigger than
 /// a previous one performs no heap allocation (see
-/// `tests/schedule_no_alloc.rs`).
+/// `tests/schedule_no_alloc.rs`). Memory is O(nodes) whatever the
+/// latencies.
 #[derive(Debug, Default)]
 pub struct ScheduleArena {
     /// ALAP start per node — the list-scheduling priority.
@@ -119,16 +132,18 @@ pub struct ScheduleArena {
     finish: Vec<u64>,
     /// Unscheduled-predecessor count per node.
     remaining_preds: Vec<usize>,
-    /// Nodes ready to issue / deferred to the next pass.
-    ready: Vec<usize>,
-    still_ready: Vec<usize>,
-    /// Calendar-queue finish ring: bucket `c % ring.len()` holds the
-    /// nodes finishing at cycle `c`. Valid because every in-flight
-    /// latency is `< ring.len()`, so cycles never collide in a bucket.
-    ring: Vec<Vec<usize>>,
-    /// Per-cycle issue count and budget, indexed by `FuKind as usize`.
-    issued: [usize; FuKind::ALL.len()],
-    counts: [usize; FuKind::ALL.len()],
+    /// Ready nodes per issue class, most urgent first by
+    /// `(late_start, id)`.
+    ready: [MinHeap; CLASSES],
+    /// Nodes released by zero-latency ops in the current round; they
+    /// compete in the next round of the same cycle.
+    released: Vec<usize>,
+    /// Issued nodes still running, earliest `(finish, id)` first.
+    in_flight: MinHeap,
+    /// Per-cycle issue count and budget per issue class (unbounded for
+    /// unit-free ops).
+    issued: [usize; CLASSES],
+    counts: [usize; CLASSES],
 }
 
 impl ScheduleArena {
@@ -164,9 +179,30 @@ impl ScheduleArena {
         }
     }
 
+    /// Queues node `i` as ready in its issue class.
+    fn make_ready(&mut self, dfg: &Dfg, i: usize) {
+        let class = dfg.nodes[i].fu.map_or(UNIT_FREE, |fu| fu as usize);
+        self.ready[class].push(Reverse((self.late_start[i], i)));
+    }
+
+    /// Counts one finished predecessor off each successor of `d`,
+    /// readying those with none left.
+    fn release_succs(&mut self, dfg: &Dfg, d: usize) {
+        for s in &dfg.nodes[d].succs {
+            self.remaining_preds[*s] -= 1;
+            if self.remaining_preds[*s] == 0 {
+                self.make_ready(dfg, *s);
+            }
+        }
+    }
+
     /// Resource-constrained list scheduling with ALAP-slack priority,
     /// writing into `out` (its buffer is reused across calls). Produces
     /// exactly the same schedule as [`list_schedule`].
+    ///
+    /// Event-driven: a cycle is visited only when some node is ready to
+    /// issue or some running node finishes in it, so the cost is
+    /// O(n log n) in nodes however long the latencies are.
     ///
     /// # Errors
     ///
@@ -181,7 +217,7 @@ impl ScheduleArena {
         for (i, kind) in FuKind::ALL.iter().enumerate() {
             self.counts[i] = budget.count(*kind);
         }
-        let mut max_latency = 0u64;
+        self.counts[UNIT_FREE] = usize::MAX;
         for node in &dfg.nodes {
             if let Some(fu) = node.fu {
                 if self.counts[fu as usize] == 0 {
@@ -191,7 +227,6 @@ impl ScheduleArena {
                     )));
                 }
             }
-            max_latency = max_latency.max(node.latency);
         }
         out.start.clear();
         out.len = 0;
@@ -205,59 +240,44 @@ impl ScheduleArena {
         out.start.resize(n, u64::MAX);
         self.remaining_preds.clear();
         self.remaining_preds.extend(dfg.nodes.iter().map(|nd| nd.preds.len()));
-        self.ready.clear();
-        self.ready.extend((0..n).filter(|i| self.remaining_preds[*i] == 0));
-        self.still_ready.clear();
-        // Ring span must exceed every in-flight latency; buckets keep
-        // their capacity across candidates.
-        let span = max_latency as usize + 1;
-        if self.ring.len() < span {
-            self.ring.resize_with(span, Vec::new);
+        // Every queue holds at most `n` nodes: reserving that up front
+        // keeps a warm arena allocation-free under any budget.
+        for heap in self.ready.iter_mut().chain([&mut self.in_flight]) {
+            heap.clear();
+            heap.reserve(n);
         }
-        for bucket in &mut self.ring {
-            bucket.clear();
+        self.released.clear();
+        self.released.reserve(n);
+        for i in 0..n {
+            if self.remaining_preds[i] == 0 {
+                self.make_ready(dfg, i);
+            }
         }
-        let span = self.ring.len();
         let mut scheduled = 0usize;
         let mut cycle: u64 = 0;
 
         while scheduled < n {
             // Release successors of nodes that finished by `cycle`.
-            let bucket = (cycle as usize) % span;
-            // Swap the bucket out through `still_ready` (empty here) so
-            // releases can push to `ready` without aliasing the ring.
-            std::mem::swap(&mut self.ring[bucket], &mut self.still_ready);
-            for di in 0..self.still_ready.len() {
-                let d = self.still_ready[di];
-                for s in &dfg.nodes[d].succs {
-                    self.remaining_preds[*s] -= 1;
-                    if self.remaining_preds[*s] == 0 {
-                        self.ready.push(*s);
-                    }
+            while let Some(&Reverse((fin, d))) = self.in_flight.peek() {
+                if fin > cycle {
+                    break;
                 }
+                self.in_flight.pop();
+                self.release_succs(dfg, d);
             }
-            self.still_ready.clear();
-            self.issued = [0; FuKind::ALL.len()];
-            // Iterate within the cycle so zero-latency ops (constants)
+            self.issued = [0; CLASSES];
+            // Rounds within the cycle, so zero-latency ops (constants)
             // release their consumers immediately instead of costing a
-            // cycle.
+            // cycle. In a round each class issues its most urgent ready
+            // nodes (smaller ALAP start = less slack) while units last;
+            // classes share no units, so their order does not matter.
             loop {
-                // Priority: smaller ALAP start first (less slack = more
-                // urgent). Keys are unique thanks to the id tie-break, so
-                // the unstable (allocation-free) sort is deterministic.
-                let late = &self.late_start;
-                self.ready.sort_unstable_by_key(|i| (late[*i], *i));
-                let mut released_zero_latency = false;
-                for ri in 0..self.ready.len() {
-                    let i = self.ready[ri];
-                    let can_issue = match dfg.nodes[i].fu {
-                        None => true,
-                        Some(fu) => self.issued[fu as usize] < self.counts[fu as usize],
-                    };
-                    if can_issue {
-                        if let Some(fu) = dfg.nodes[i].fu {
-                            self.issued[fu as usize] += 1;
-                        }
+                for class in 0..CLASSES {
+                    while self.issued[class] < self.counts[class] {
+                        let Some(Reverse((_, i))) = self.ready[class].pop() else {
+                            break;
+                        };
+                        self.issued[class] += 1;
                         out.start[i] = cycle;
                         let fin = cycle + dfg.nodes[i].latency;
                         out.len = out.len.max(fin);
@@ -265,25 +285,31 @@ impl ScheduleArena {
                             for s in &dfg.nodes[i].succs {
                                 self.remaining_preds[*s] -= 1;
                                 if self.remaining_preds[*s] == 0 {
-                                    self.still_ready.push(*s);
-                                    released_zero_latency = true;
+                                    self.released.push(*s);
                                 }
                             }
                         } else {
-                            self.ring[(fin as usize) % span].push(i);
+                            self.in_flight.push(Reverse((fin, i)));
                         }
                         scheduled += 1;
-                    } else {
-                        self.still_ready.push(i);
                     }
                 }
-                self.ready.clear();
-                std::mem::swap(&mut self.ready, &mut self.still_ready);
-                if !released_zero_latency {
+                if self.released.is_empty() {
                     break;
                 }
+                for ri in 0..self.released.len() {
+                    self.make_ready(dfg, self.released[ri]);
+                }
+                self.released.clear();
             }
-            cycle += 1;
+            // Nothing left waiting for a unit: jump to the next finish.
+            if self.ready.iter().any(|heap| !heap.is_empty()) {
+                cycle += 1;
+            } else if let Some(&Reverse((fin, _))) = self.in_flight.peek() {
+                cycle = fin;
+            } else if scheduled < n {
+                return Err(HlsError::Schedule("dependence cycle in the DFG".into()));
+            }
         }
         Ok(())
     }

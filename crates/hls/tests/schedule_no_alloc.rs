@@ -76,7 +76,7 @@ fn warm_arena_schedules_allocate_nothing() {
     let mut out = Schedule::default();
 
     // Warm-up: touch the largest candidate under every budget so all
-    // scratch buffers (priority table, ready queues, finish ring, output
+    // scratch buffers (priority table, ready heaps, finish heap, output
     // starts) reach their high-water capacity.
     for budget in &budgets {
         arena.list_schedule_into(&mut out, &large, budget).unwrap();
@@ -97,6 +97,29 @@ fn warm_arena_schedules_allocate_nothing() {
     // The recycled path still produces the exact same schedule.
     arena.list_schedule_into(&mut out, &large, &budgets[2]).unwrap();
     assert_eq!(out.start, reference);
+}
+
+#[test]
+fn warm_arena_schedules_a_trillion_cycle_latency_without_allocating() {
+    // A `loop.for` macro node's latency is trips × body, so it can run to
+    // 10¹² cycles. A calendar ring sized by the largest latency would ask
+    // for terabytes here; the event-driven arena's memory depends on the
+    // node count alone, so the same warm-up as above covers it.
+    let large = candidate(24);
+    let mut huge = candidate(24);
+    huge.nodes[7].latency = 1_000_000_000_000;
+    let budget = ResourceBudget::default().with(FuKind::FMul, 1);
+    let mut arena = ScheduleArena::new();
+    let mut out = Schedule::default();
+    arena.list_schedule_into(&mut out, &large, &budget).unwrap();
+
+    let before = ALLOCATIONS.with(Cell::get);
+    arena.list_schedule_into(&mut out, &huge, &budget).unwrap();
+    let after = ALLOCATIONS.with(Cell::get);
+    assert_eq!(after - before, 0, "a huge latency must not grow the warm arena");
+    assert!(out.len > 1_000_000_000_000);
+    let consumer = huge.nodes[7].succs[0];
+    assert!(out.start[consumer] >= out.start[7] + huge.nodes[7].latency, "consumer waits it out");
 }
 
 #[test]

@@ -211,7 +211,7 @@ mod tests {
         let f = mm_kernel(16);
         let w = analyze(&f);
         let knob = hw(Target::FpgaBus, false);
-        let direct = everest_hls::accel::synthesize(&f, &knob.hls_config()).unwrap().summary();
+        let direct = everest_hls::accel::summarize(&f, &knob.hls_config()).unwrap();
         let direct = metrics_from_summary(&direct, &w, Target::FpgaBus);
         for _ in 0..2 {
             let memo = evaluate_knob(&f, &w, &knob).unwrap();

@@ -149,7 +149,7 @@ pub fn generate_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use everest_hls::accel::synthesize;
+    use everest_hls::accel::summarize;
 
     #[test]
     fn every_job_count_matches_a_fold_over_uncached_synthesis() {
@@ -177,8 +177,7 @@ mod tests {
                                 cost::software_metrics_knob(&workload, knob)
                             }
                             KnobVector::Hardware { target, .. } => {
-                                let summary =
-                                    synthesize(func, &knob.hls_config()).unwrap().summary();
+                                let summary = summarize(func, &knob.hls_config()).unwrap();
                                 cost::metrics_from_summary(&summary, &workload, *target)
                             }
                         };
