@@ -7,6 +7,7 @@
 
 use crate::autotuner::SystemState;
 use everest_security::{AutoProtect, ProtectAction, TimingMonitor};
+use everest_telemetry::LogHistogram;
 
 /// Aggregated runtime monitor for one kernel.
 #[derive(Debug, Clone)]
@@ -33,37 +34,63 @@ impl RuntimeMonitor {
     }
 
     /// Records one invocation: observed latency plus monitor alarms from
-    /// the data-protection layer.
+    /// the data-protection layer. A batch of one.
     pub fn record(&mut self, latency_us: f64, access_alarm: bool, range_alarm: bool) {
-        let telemetry = everest_telemetry::metrics();
+        self.record_batch([(latency_us, access_alarm, range_alarm)]);
+    }
+
+    /// Records invocations in order, each as `(latency_us, access_alarm,
+    /// range_alarm)`. Observation, alarms and escalation run per record
+    /// exactly as in [`RuntimeMonitor::record`]; the `runtime.latency_us`
+    /// histogram and the `runtime.*` counters accumulate locally and
+    /// merge into the registry once, so a batch takes the registry lock
+    /// a handful of times instead of per record.
+    pub fn record_batch(&mut self, records: impl IntoIterator<Item = (f64, bool, bool)>) {
         let flight = everest_telemetry::flight();
-        telemetry.observe("runtime.latency_us", latency_us);
-        let timing_alarm = self.timing.observe(latency_us);
-        // Each alarm also snapshots the flight recorder, so the events
-        // *leading up to* the alarm survive for post-hoc inspection
-        // (everest_telemetry::flight().take_alarm_dump()).
-        if timing_alarm {
-            telemetry.counter_inc("runtime.alarm.timing");
-            flight.alarm("runtime.alarm.timing", latency_us);
-        }
-        if access_alarm {
-            telemetry.counter_inc("runtime.alarm.access");
-            flight.alarm("runtime.alarm.access", latency_us);
-        }
-        if range_alarm {
-            telemetry.counter_inc("runtime.alarm.range");
-            flight.alarm("runtime.alarm.range", latency_us);
-        }
-        match self.protect.step(timing_alarm, access_alarm, range_alarm) {
-            ProtectAction::None | ProtectAction::Audit => {}
-            ProtectAction::SwitchHardenedVariant => {
-                telemetry.counter_inc("runtime.hardened_switches");
-                self.hardened_mode = true;
+        let mut latency = LogHistogram::new();
+        let [mut timing, mut access, mut range, mut hardened, mut isolations] = [0u64; 5];
+        for (latency_us, access_alarm, range_alarm) in records {
+            latency.observe(latency_us);
+            let timing_alarm = self.timing.observe(latency_us);
+            // Each alarm also snapshots the flight recorder, so the events
+            // *leading up to* the alarm survive for post-hoc inspection
+            // (everest_telemetry::flight().take_alarm_dump()).
+            if timing_alarm {
+                timing += 1;
+                flight.alarm("runtime.alarm.timing", latency_us);
             }
-            ProtectAction::Isolate => {
-                telemetry.counter_inc("runtime.isolations");
-                self.hardened_mode = true;
-                self.isolations += 1;
+            if access_alarm {
+                access += 1;
+                flight.alarm("runtime.alarm.access", latency_us);
+            }
+            if range_alarm {
+                range += 1;
+                flight.alarm("runtime.alarm.range", latency_us);
+            }
+            match self.protect.step(timing_alarm, access_alarm, range_alarm) {
+                ProtectAction::None | ProtectAction::Audit => {}
+                ProtectAction::SwitchHardenedVariant => {
+                    hardened += 1;
+                    self.hardened_mode = true;
+                }
+                ProtectAction::Isolate => {
+                    isolations += 1;
+                    self.hardened_mode = true;
+                    self.isolations += 1;
+                }
+            }
+        }
+        let telemetry = everest_telemetry::metrics();
+        telemetry.merge_histogram("runtime.latency_us", &latency);
+        for (name, n) in [
+            ("runtime.alarm.timing", timing),
+            ("runtime.alarm.access", access),
+            ("runtime.alarm.range", range),
+            ("runtime.hardened_switches", hardened),
+            ("runtime.isolations", isolations),
+        ] {
+            if n > 0 {
+                telemetry.counter_add(name, n);
             }
         }
     }
@@ -150,6 +177,22 @@ mod tests {
         let dump = everest_telemetry::flight().take_alarm_dump().expect("alarm captured dump");
         assert!(dump.reason.starts_with("runtime.alarm."));
         assert!(dump.events.iter().any(|e| e.kind == everest_telemetry::EventKind::Alarm));
+    }
+
+    #[test]
+    fn a_batch_matches_the_same_records_one_by_one() {
+        let records: Vec<(f64, bool, bool)> = (0..64)
+            .map(|i| (100.0 + f64::from(i % 7) * 900.0, i == 30 || i == 41, i == 41 || i == 50))
+            .collect();
+        let mut one_by_one = RuntimeMonitor::new(1_000);
+        for &(latency, access, range) in &records {
+            one_by_one.record(latency, access, range);
+        }
+        let mut batched = RuntimeMonitor::new(1_000);
+        batched.record_batch(records.iter().copied());
+        assert_eq!(batched.system_state(), one_by_one.system_state());
+        assert_eq!(batched.isolations(), one_by_one.isolations());
+        assert!(batched.isolations() > 0, "the records escalate");
     }
 
     #[test]

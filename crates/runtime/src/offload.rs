@@ -44,12 +44,13 @@
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::monitor::RuntimeMonitor;
 use everest_platform::{Attachment, Link, LinkProfile, System};
-use everest_telemetry::LogHistogram;
+use everest_telemetry::{EventKind, FlightBurst, LogHistogram};
 use everest_workflow::seed::mix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One injected failure mode.
@@ -221,8 +222,19 @@ impl FaultPlan {
         invocation: u64,
         attempt: u32,
     ) -> Option<FaultKind> {
-        let rates = self.rates_for(device, profile);
-        let seed = mix(self.seed ^ fnv1a(device))
+        self.outcome_keyed(self.rates_for(device, profile), fnv1a(device), invocation, attempt)
+    }
+
+    /// [`FaultPlan::outcome`] with the device's rates and FNV-1a name
+    /// hash already resolved, so the fold resolves them once per rung.
+    fn outcome_keyed(
+        &self,
+        rates: FaultRates,
+        device_key: u64,
+        invocation: u64,
+        attempt: u32,
+    ) -> Option<FaultKind> {
+        let seed = mix(self.seed ^ device_key)
             ^ mix(invocation.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(u64::from(attempt)));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let draw: f64 = rng.gen_range(0.0..1.0);
@@ -284,8 +296,14 @@ impl RetryPolicy {
     /// `[nominal/2, nominal)`, derived from `(seed, device, invocation,
     /// attempt)` so schedules replay bit-identically per seed.
     pub fn backoff_us(&self, seed: u64, device: &str, invocation: u64, attempt: u32) -> f64 {
+        self.backoff_keyed(seed, fnv1a(device), invocation, attempt)
+    }
+
+    /// [`RetryPolicy::backoff_us`] with the device's FNV-1a name hash
+    /// already resolved.
+    fn backoff_keyed(&self, seed: u64, device_key: u64, invocation: u64, attempt: u32) -> f64 {
         let nominal = self.nominal_backoff_us(attempt);
-        let word = mix(seed ^ fnv1a(device).rotate_left(17))
+        let word = mix(seed ^ device_key.rotate_left(17))
             ^ mix(invocation.wrapping_mul(0x9e37_79b9).wrapping_add(u64::from(attempt)));
         let mut rng = ChaCha8Rng::seed_from_u64(word);
         let unit: f64 = rng.gen_range(0.0..1.0);
@@ -488,7 +506,9 @@ pub struct OffloadOutcome {
     pub degraded: bool,
 }
 
-/// One entry of the deterministic retry/fallback trace.
+/// One entry of the deterministic retry/fallback trace. Device names
+/// are shared with the fallback-chain rung they name, so recording an
+/// event never copies a string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OffloadEvent {
     /// An attempt started on a device.
@@ -496,7 +516,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: Arc<str>,
         /// Attempt number on this device (0-based).
         attempt: u32,
     },
@@ -505,7 +525,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: Arc<str>,
         /// Attempt number on this device.
         attempt: u32,
         /// Failure mode.
@@ -516,7 +536,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: Arc<str>,
         /// The retry this wait precedes (1-based).
         attempt: u32,
         /// Jittered wait, microseconds.
@@ -527,7 +547,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Skipped device.
-        device: String,
+        device: Arc<str>,
         /// Why (`breaker-open` or `device-lost`).
         reason: &'static str,
     },
@@ -536,44 +556,44 @@ pub enum OffloadEvent {
         /// Invocation index that tripped it.
         task: u64,
         /// Device.
-        device: String,
+        device: Arc<str>,
     },
     /// A breaker began half-open probing.
     BreakerHalfOpen {
         /// Invocation index probing it.
         task: u64,
         /// Device.
-        device: String,
+        device: Arc<str>,
     },
     /// A half-open breaker re-closed after successful probes.
     BreakerClosed {
         /// Invocation index that closed it.
         task: u64,
         /// Device.
-        device: String,
+        device: Arc<str>,
     },
     /// A device was lost permanently.
     DeviceLost {
         /// Invocation index that observed the loss.
         task: u64,
         /// Device.
-        device: String,
+        device: Arc<str>,
     },
     /// The call moved down the fallback chain.
     Fallback {
         /// Invocation index.
         task: u64,
         /// Abandoned device.
-        from: String,
+        from: Arc<str>,
         /// Next device in the chain.
-        to: String,
+        to: Arc<str>,
     },
     /// The call completed.
     Completed {
         /// Invocation index.
         task: u64,
         /// Completing device.
-        device: String,
+        device: Arc<str>,
         /// Its class.
         class: TargetClass,
         /// Attempts across the whole chain.
@@ -642,6 +662,23 @@ impl OffloadEvent {
     }
 }
 
+/// One rung of a lane: a chain target with its per-rung constants,
+/// resolved once when the manager is built, and its recovery state.
+#[derive(Debug, Clone)]
+struct Rung {
+    /// Index of the target in the chain.
+    target: usize,
+    /// The device name, shared by every trace event that names it.
+    device: Arc<str>,
+    /// FNV-1a hash of the device name, keying fault and jitter draws.
+    key: u64,
+    /// The device's fault rates, resolved against the plan.
+    rates: FaultRates,
+    breaker: CircuitBreaker,
+    /// Permanently lost.
+    lost: bool,
+}
+
 /// One fold lane: a disjoint slice of the fallback chain rooted at a
 /// primary device, ending in the shared (stateless) CPU terminal. The
 /// lane owns all mutable recovery state — breakers, loss flags and the
@@ -649,32 +686,10 @@ impl OffloadEvent {
 /// sharing anything mutable.
 #[derive(Debug, Clone)]
 struct Lane {
-    /// Chain indices this lane tries, in preference order.
-    targets: Vec<usize>,
-    /// Breaker per rung (parallel to `targets`).
-    breakers: Vec<CircuitBreaker>,
-    /// Permanent-loss flag per rung (parallel to `targets`).
-    lost: Vec<bool>,
+    /// The rungs this lane tries, in preference order.
+    rungs: Vec<Rung>,
     /// The lane's simulated clock, microseconds.
     clock_us: f64,
-}
-
-impl Lane {
-    fn new(targets: Vec<usize>, cfg: BreakerConfig) -> Lane {
-        let n = targets.len();
-        Lane {
-            targets,
-            breakers: vec![CircuitBreaker::new(cfg); n],
-            lost: vec![false; n],
-            clock_us: 0.0,
-        }
-    }
-
-    fn push(&mut self, idx: usize, cfg: BreakerConfig) {
-        self.targets.push(idx);
-        self.breakers.push(CircuitBreaker::new(cfg));
-        self.lost.push(false);
-    }
 }
 
 /// Partitions a fallback chain into lanes: one lane per device (every
@@ -685,24 +700,34 @@ impl Lane {
 /// cross-device fallback: a call whose device is unavailable degrades
 /// straight to the CPU reference kernel. A chain with no FPGA rungs
 /// collapses to a single lane over everything.
-fn partition_lanes(chain: &[OffloadTarget], cfg: BreakerConfig) -> Vec<Lane> {
-    if !chain.iter().any(|t| t.class != TargetClass::HostCpu) {
-        return vec![Lane::new((0..chain.len()).collect(), cfg)];
-    }
-    let mut lanes: Vec<Lane> = chain
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.class != TargetClass::HostCpu)
-        .map(|(i, _)| Lane::new(vec![i], cfg))
-        .collect();
-    for (i, t) in chain.iter().enumerate() {
-        if t.class == TargetClass::HostCpu {
-            for lane in &mut lanes {
-                lane.push(i, cfg);
-            }
+fn partition_lanes(chain: &[OffloadTarget], plan: &FaultPlan, cfg: BreakerConfig) -> Vec<Lane> {
+    let rung = |target: usize| {
+        let t = &chain[target];
+        Rung {
+            target,
+            device: Arc::from(t.device.as_str()),
+            key: fnv1a(&t.device),
+            rates: plan.rates_for(&t.device, t.profile),
+            breaker: CircuitBreaker::new(cfg),
+            lost: false,
         }
-    }
+    };
+    let is_cpu = |i: &usize| chain[*i].class == TargetClass::HostCpu;
+    let (cpus, roots): (Vec<usize>, Vec<usize>) = (0..chain.len()).partition(is_cpu);
+    let lanes: Vec<Vec<usize>> = if roots.is_empty() {
+        vec![cpus]
+    } else {
+        roots
+            .into_iter()
+            .map(|root| std::iter::once(root).chain(cpus.iter().copied()).collect())
+            .collect()
+    };
+    // Each lane builds its own rungs, so no `Arc` is shared across the
+    // threads that fold different lanes.
     lanes
+        .into_iter()
+        .map(|targets| Lane { rungs: targets.into_iter().map(rung).collect(), clock_us: 0.0 })
+        .collect()
 }
 
 /// Lane-local telemetry, flushed to the global registry once per lane
@@ -771,23 +796,21 @@ struct LaneReport {
 
 /// Emits the `Fallback` trace event (and counts it, when the abandoned
 /// rung was actually attempted) for a call moving down its lane.
-#[allow(clippy::too_many_arguments)]
 fn push_fallback(
-    lane: &Lane,
+    rungs: &[Rung],
     li: usize,
-    chain: &[OffloadTarget],
     task: u64,
-    from: &str,
     events: &mut Vec<OffloadEvent>,
     stats: &mut LaneStats,
+    flight: &mut FlightBurst,
     tried: bool,
 ) {
-    if li + 1 < lane.targets.len() {
-        let to = chain[lane.targets[li + 1]].device.clone();
-        events.push(OffloadEvent::Fallback { task, from: from.to_owned(), to });
+    if let Some(next) = rungs.get(li + 1) {
+        let from = Arc::clone(&rungs[li].device);
+        events.push(OffloadEvent::Fallback { task, from, to: Arc::clone(&next.device) });
         if tried {
             stats.fallbacks += 1;
-            everest_telemetry::flight().marker("offload.fallback", task as f64);
+            flight.marker("offload.fallback", task as f64);
         }
     }
 }
@@ -796,7 +819,8 @@ fn push_fallback(
 /// fault outcomes and backoff jitter sampled inline (they are pure in
 /// `(seed, device, task, attempt)`, so inline sampling is identical to
 /// pre-sampling). Mutates only lane-local state; trace events and
-/// monitor observations queue into the caller's buffers for the merge.
+/// monitor observations queue into the caller's buffers for the merge,
+/// and the call's flight events go through one burst.
 #[allow(clippy::too_many_arguments)]
 fn fold_call(
     plan: &FaultPlan,
@@ -809,8 +833,9 @@ fn fold_call(
     records: &mut Vec<MonitorRecord>,
     stats: &mut LaneStats,
 ) -> RuntimeResult<OffloadOutcome> {
-    let flight = everest_telemetry::flight();
-    let clock_start = lane.clock_us;
+    let mut flight = everest_telemetry::flight().burst();
+    let Lane { rungs, clock_us } = lane;
+    let clock_start = *clock_us;
     let mut attempts_total: u32 = 0;
 
     // Causal context: attempt spans opened below nest under this call
@@ -819,29 +844,34 @@ fn fold_call(
     let mut call_span = everest_telemetry::span("offload.call", "offload");
     call_span.attr("task", task);
     call_span.attr("kernel", &call.kernel);
-    flight.record(everest_telemetry::EventKind::SpanBegin, "offload.call", task as f64);
+    flight.record(EventKind::SpanBegin, "offload.call", task as f64);
 
-    for li in 0..lane.targets.len() {
-        let target = &chain[lane.targets[li]];
-        let device = target.device.clone();
+    for li in 0..rungs.len() {
+        let rung = &mut rungs[li];
+        let target = &chain[rung.target];
 
-        if lane.lost[li] {
-            events.push(OffloadEvent::Skip { task, device: device.clone(), reason: "device-lost" });
-            push_fallback(lane, li, chain, task, &device, events, stats, false);
+        if rung.lost {
+            events.push(OffloadEvent::Skip {
+                task,
+                device: Arc::clone(&rung.device),
+                reason: "device-lost",
+            });
+            push_fallback(rungs, li, task, events, stats, &mut flight, false);
             continue;
         }
-        match lane.breakers[li].poll(lane.clock_us) {
+        match rung.breaker.poll(*clock_us) {
             BreakerState::Open => {
                 events.push(OffloadEvent::Skip {
                     task,
-                    device: device.clone(),
+                    device: Arc::clone(&rung.device),
                     reason: "breaker-open",
                 });
-                push_fallback(lane, li, chain, task, &device, events, stats, false);
+                push_fallback(rungs, li, task, events, stats, &mut flight, false);
                 continue;
             }
             BreakerState::HalfOpen => {
-                events.push(OffloadEvent::BreakerHalfOpen { task, device: device.clone() });
+                events
+                    .push(OffloadEvent::BreakerHalfOpen { task, device: Arc::clone(&rung.device) });
             }
             BreakerState::Closed => {}
         }
@@ -850,55 +880,58 @@ fn fold_call(
         let compute_us = call.work_us / target.speedup;
         let mut abandoned = false;
         for attempt in 0..retry.max_attempts.max(1) {
-            events.push(OffloadEvent::Attempt { task, device: device.clone(), attempt });
+            events.push(OffloadEvent::Attempt { task, device: Arc::clone(&rung.device), attempt });
             attempts_total += 1;
             let mut attempt_span = everest_telemetry::span("offload.attempt", "offload");
             attempt_span.attr("task", task);
-            attempt_span.attr("device", &device);
+            attempt_span.attr("device", &rung.device);
             attempt_span.attr("attempt", attempt);
             flight.marker("offload.attempt", attempt as f64);
             let outcome = if target.class == TargetClass::HostCpu {
                 // The reference kernel is local: no injected faults.
                 None
             } else {
-                plan.outcome(&device, target.profile, task, attempt)
+                plan.outcome_keyed(rung.rates, rung.key, task, attempt)
             };
             match outcome {
                 None => {
                     let latency = transfer_us + compute_us;
-                    lane.clock_us += latency;
+                    *clock_us += latency;
                     records.push((task, latency, false, false));
                     stats.latency.observe(latency);
                     stats.completed += 1;
-                    if lane.breakers[li].on_success() {
-                        events.push(OffloadEvent::BreakerClosed { task, device: device.clone() });
+                    if rung.breaker.on_success() {
+                        events.push(OffloadEvent::BreakerClosed {
+                            task,
+                            device: Arc::clone(&rung.device),
+                        });
                     }
                     events.push(OffloadEvent::Completed {
                         task,
-                        device: device.clone(),
+                        device: Arc::clone(&rung.device),
                         class: target.class,
                         attempts: attempts_total,
-                        elapsed_us: lane.clock_us,
+                        elapsed_us: *clock_us,
                     });
-                    let sim_us = lane.clock_us - clock_start;
+                    let sim_us = *clock_us - clock_start;
                     stats.sim.observe(sim_us);
                     stats.attempts.observe(f64::from(attempts_total));
-                    flight.record(everest_telemetry::EventKind::SpanEnd, "offload.call", sim_us);
+                    flight.record(EventKind::SpanEnd, "offload.call", sim_us);
                     return Ok(OffloadOutcome {
                         task,
-                        device,
+                        device: rung.device.to_string(),
                         class: target.class,
                         attempts: attempts_total,
-                        elapsed_us: lane.clock_us,
+                        elapsed_us: *clock_us,
                         degraded: li != 0,
                     });
                 }
                 Some(kind) => {
                     stats.faults += 1;
-                    flight.record(everest_telemetry::EventKind::CounterAdd, "offload.faults", 1.0);
+                    flight.record(EventKind::CounterAdd, "offload.faults", 1.0);
                     events.push(OffloadEvent::Fault {
                         task,
-                        device: device.clone(),
+                        device: Arc::clone(&rung.device),
                         attempt,
                         kind,
                     });
@@ -909,21 +942,27 @@ fn fold_call(
                         FaultKind::Corrupt => transfer_us + compute_us,
                         _ => retry.timeout_us,
                     };
-                    lane.clock_us += penalty;
+                    *clock_us += penalty;
                     records.push((task, penalty, false, kind == FaultKind::Corrupt));
                     if kind == FaultKind::DeviceLoss {
-                        lane.lost[li] = true;
-                        lane.breakers[li].force_open();
+                        rung.lost = true;
+                        rung.breaker.force_open();
                         stats.device_loss += 1;
                         flight.marker("offload.device_loss", task as f64);
-                        events.push(OffloadEvent::DeviceLost { task, device: device.clone() });
+                        events.push(OffloadEvent::DeviceLost {
+                            task,
+                            device: Arc::clone(&rung.device),
+                        });
                         abandoned = true;
                         break;
                     }
-                    if lane.breakers[li].on_failure(lane.clock_us) {
+                    if rung.breaker.on_failure(*clock_us) {
                         stats.breaker_open += 1;
                         flight.marker("offload.breaker_open", task as f64);
-                        events.push(OffloadEvent::BreakerOpened { task, device: device.clone() });
+                        events.push(OffloadEvent::BreakerOpened {
+                            task,
+                            device: Arc::clone(&rung.device),
+                        });
                         abandoned = true;
                         break;
                     }
@@ -932,13 +971,13 @@ fn fold_call(
                         abandoned = true;
                         break;
                     }
-                    let wait_us = retry.backoff_us(plan.seed(), &device, task, retry_no);
-                    lane.clock_us += wait_us;
+                    let wait_us = retry.backoff_keyed(plan.seed(), rung.key, task, retry_no);
+                    *clock_us += wait_us;
                     stats.retries += 1;
                     flight.marker("offload.backoff_us", wait_us);
                     events.push(OffloadEvent::Backoff {
                         task,
-                        device: device.clone(),
+                        device: Arc::clone(&rung.device),
                         attempt: retry_no,
                         wait_us,
                     });
@@ -946,11 +985,11 @@ fn fold_call(
             }
         }
         debug_assert!(abandoned, "loop only exits via success or abandonment");
-        push_fallback(lane, li, chain, task, &device, events, stats, true);
+        push_fallback(rungs, li, task, events, stats, &mut flight, true);
     }
-    let sim_us = lane.clock_us - clock_start;
+    let sim_us = *clock_us - clock_start;
     stats.attempts.observe(f64::from(attempts_total));
-    flight.record(everest_telemetry::EventKind::SpanEnd, "offload.call", sim_us);
+    flight.record(EventKind::SpanEnd, "offload.call", sim_us);
     Err(RuntimeError::OffloadFailed { kernel: call.kernel.clone(), attempts: attempts_total })
 }
 
@@ -1032,7 +1071,7 @@ impl OffloadManager {
         if chain.is_empty() {
             return Err(RuntimeError::Unknown("empty offload chain".to_owned()));
         }
-        let lanes = partition_lanes(&chain, BreakerConfig::default());
+        let lanes = partition_lanes(&chain, &plan, BreakerConfig::default());
         Ok(OffloadManager {
             plan,
             retry: RetryPolicy::default(),
@@ -1102,8 +1141,8 @@ impl OffloadManager {
     /// Replaces every breaker's thresholds (breakers reset to Closed).
     #[must_use]
     pub fn with_breaker(mut self, cfg: BreakerConfig) -> OffloadManager {
-        for lane in &mut self.lanes {
-            lane.breakers = vec![CircuitBreaker::new(cfg); lane.targets.len()];
+        for rung in self.lanes.iter_mut().flat_map(|lane| &mut lane.rungs) {
+            rung.breaker = CircuitBreaker::new(cfg);
         }
         self
     }
@@ -1154,9 +1193,7 @@ impl OffloadManager {
     /// breaker is returned.
     pub fn breaker(&self, device: &str) -> Option<&CircuitBreaker> {
         let idx = self.chain.iter().position(|t| t.device == device)?;
-        self.lanes.iter().find_map(|lane| {
-            lane.targets.iter().position(|&t| t == idx).map(|li| &lane.breakers[li])
-        })
+        self.lanes.iter().flat_map(|lane| &lane.rungs).find(|r| r.target == idx).map(|r| &r.breaker)
     }
 
     /// Devices currently unusable: lost, or breaker not Closed.
@@ -1167,9 +1204,10 @@ impl OffloadManager {
             .enumerate()
             .filter(|(idx, _)| {
                 self.lanes.iter().any(|lane| {
-                    lane.targets.iter().position(|&t| t == *idx).is_some_and(|li| {
-                        lane.lost[li] || lane.breakers[li].state() != BreakerState::Closed
-                    })
+                    lane.rungs
+                        .iter()
+                        .find(|r| r.target == *idx)
+                        .is_some_and(|r| r.lost || r.breaker.state() != BreakerState::Closed)
                 })
             })
             .map(|(_, t)| t.device.clone())
@@ -1215,9 +1253,9 @@ impl OffloadManager {
             &mut stats,
         );
         stats.flush();
-        for (_, latency, access, range) in records {
-            monitor.record(latency, access, range);
-        }
+        monitor.record_batch(
+            records.into_iter().map(|(_, latency, access, range)| (latency, access, range)),
+        );
         result
     }
 
@@ -1304,16 +1342,25 @@ impl OffloadManager {
             records.push(report.records.into_iter().peekable());
         }
         self.lanes = lanes_back;
+        // The monitor sees every record in invocation order, in one batch.
+        let end_task = first_task + calls.len() as u64;
+        let mut task = first_task;
+        self.monitor.record_batch(std::iter::from_fn(|| {
+            while task < end_task {
+                let lane = (task % nlanes) as usize;
+                if let Some((_, latency, access, range)) = records[lane].next_if(|r| r.0 == task) {
+                    return Some((latency, access, range));
+                }
+                task += 1;
+            }
+            None
+        }));
         let mut outcomes = Vec::with_capacity(calls.len());
         for i in 0..calls.len() {
             let task = first_task + i as u64;
             let lane = (task % nlanes) as usize;
-            while records[lane].peek().is_some_and(|r| r.0 == task) {
-                let (_, latency, access, range) = records[lane].next().expect("peeked");
-                self.monitor.record(latency, access, range);
-            }
-            while events[lane].peek().is_some_and(|e| e.task() == task) {
-                self.events.push(events[lane].next().expect("peeked"));
+            while let Some(event) = events[lane].next_if(|e| e.task() == task) {
+                self.events.push(event);
             }
             outcomes.push(results[lane].next().expect("one result per task"));
         }
@@ -1327,7 +1374,7 @@ impl OffloadManager {
     fn lane_devices(&self) -> Vec<Vec<&str>> {
         self.lanes
             .iter()
-            .map(|l| l.targets.iter().map(|&i| self.chain[i].device.as_str()).collect())
+            .map(|l| l.rungs.iter().map(|r| self.chain[r.target].device.as_str()).collect())
             .collect()
     }
 }

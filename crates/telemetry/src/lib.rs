@@ -49,18 +49,27 @@ pub mod trace;
 pub use export::TraceEvent;
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use recorder::{EventKind, FlightDump, FlightEvent, FlightRecorder, DEFAULT_RING_CAPACITY};
+pub use recorder::{
+    EventKind, FlightBurst, FlightDump, FlightEvent, FlightRecorder, BURST_SLOTS,
+    DEFAULT_RING_CAPACITY, RETIRED_RINGS,
+};
 pub use trace::{Span, SpanRecord, Tracer};
 
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 static GLOBAL: RwLock<Tracer> = RwLock::new(Tracer::disabled());
+/// Whether [`GLOBAL`] records. Written only under `GLOBAL`'s write lock,
+/// so [`span`] can skip the lock entirely while tracing is off.
+static TRACING: AtomicBool = AtomicBool::new(false);
 static METRICS: MetricsRegistry = MetricsRegistry::new();
 static FLIGHT: FlightRecorder = FlightRecorder::new();
 
 /// Replaces the global tracer (usually with [`Tracer::recording`]).
 pub fn install_global(tracer: Tracer) {
-    *GLOBAL.write() = tracer;
+    let mut global = GLOBAL.write();
+    TRACING.store(tracer.is_enabled(), Ordering::Release);
+    *global = tracer;
 }
 
 /// A handle to the current global tracer.
@@ -71,12 +80,17 @@ pub fn global() -> Tracer {
 /// Swaps the global tracer back to disabled and returns the old one, so
 /// its spans can be [`Tracer::finish`]ed exactly once.
 pub fn take_global() -> Tracer {
-    std::mem::take(&mut *GLOBAL.write())
+    let mut global = GLOBAL.write();
+    TRACING.store(false, Ordering::Release);
+    std::mem::take(&mut *global)
 }
 
-/// Opens a span on the global tracer. A no-op (no heap allocation) while
-/// the global tracer is disabled.
+/// Opens a span on the global tracer. While the global tracer is
+/// disabled this is one atomic load: no lock and no heap allocation.
 pub fn span(name: &str, category: &str) -> Span {
+    if !TRACING.load(Ordering::Acquire) {
+        return Span::inert();
+    }
     GLOBAL.read().span(name, category)
 }
 
@@ -88,4 +102,26 @@ pub fn metrics() -> &'static MetricsRegistry {
 /// The process-wide flight recorder (always on, bounded overhead).
 pub fn flight() -> &'static FlightRecorder {
     &FLIGHT
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // The only unit test that touches the global tracer, so no other
+    // test in this binary can observe the install.
+    #[test]
+    fn span_flag_follows_install_and_take() {
+        assert!(!span("flag.before", "test").is_recording());
+        install_global(Tracer::recording());
+        {
+            let span = span("flag.on", "test");
+            assert!(span.is_recording());
+        }
+        let spans = take_global().finish();
+        assert!(spans.iter().any(|s| s.name == "flag.on"));
+        assert!(!span("flag.after", "test").is_recording(), "inert after take_global");
+        install_global(Tracer::disabled());
+        assert!(!span("flag.disabled", "test").is_recording());
+    }
 }

@@ -8,7 +8,14 @@
 //! plus a slot write). Old events are overwritten in place, bounding
 //! both memory and time: the recorder never allocates per event after
 //! its ring is created, and setting the capacity to zero reduces
-//! [`FlightRecorder::record`] to a single relaxed atomic load.
+//! [`FlightRecorder::record`] to a single relaxed atomic load. A hot
+//! path that records several events in a row opens a [`FlightBurst`]
+//! instead: one clock read and one ring lock for all of them.
+//!
+//! When a thread exits, its ring joins a FIFO of at most
+//! [`RETIRED_RINGS`] retired rings, which stay dumpable; past that
+//! bound the oldest is cleared and reused by the next new thread, so
+//! pools that spawn threads per batch do not grow the recorder.
 //!
 //! [`FlightRecorder::dump`] merges every thread's ring into one
 //! time-ordered [`FlightDump`] — a post-hoc "what just happened" trace.
@@ -20,12 +27,22 @@
 use crate::trace::current_tid;
 use parking_lot::Mutex;
 use std::cell::OnceCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
+
+/// Rings of exited threads that stay dumpable. Past this bound the
+/// oldest retired ring is cleared and handed to the next new thread, so
+/// pools that spawn fresh threads per batch keep memory and dump size
+/// bounded.
+pub const RETIRED_RINGS: usize = 16;
+
+/// Events a [`FlightBurst`] queues before flushing early.
+pub const BURST_SLOTS: usize = 8;
 
 /// What a [`FlightEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +106,19 @@ struct RingBuf {
 }
 
 impl RingBuf {
+    fn new(capacity: usize) -> RingBuf {
+        RingBuf { slots: Vec::with_capacity(capacity), capacity, head: 0, written: 0 }
+    }
+
+    /// Empties the ring and sets its capacity, reusing the allocation.
+    fn reset(&mut self, capacity: usize) {
+        self.slots.clear();
+        self.slots.reserve_exact(capacity);
+        self.capacity = capacity;
+        self.head = 0;
+        self.written = 0;
+    }
+
     fn push(&mut self, event: FlightEvent) {
         if self.capacity == 0 {
             return;
@@ -117,13 +147,62 @@ impl RingBuf {
     }
 }
 
-struct Ring {
+type Ring = Mutex<RingBuf>;
+
+/// Every ring the process has handed out. Lock order: this registry
+/// before any ring.
+struct Rings {
+    /// Dumpable rings: live threads' plus up to [`RETIRED_RINGS`]
+    /// exited threads'.
+    all: Vec<Arc<Ring>>,
+    /// Exited threads' rings, oldest first (a subset of `all`).
+    retired: VecDeque<Arc<Ring>>,
+    /// Cleared rings evicted from `retired`, waiting for a new thread.
+    spare: Vec<Arc<Ring>>,
+}
+
+static RINGS: Mutex<Rings> =
+    Mutex::new(Rings { all: Vec::new(), retired: VecDeque::new(), spare: Vec::new() });
+
+/// Hands the calling thread a ring: a cleared spare when one waits,
+/// otherwise a new one.
+fn claim_ring(capacity: usize) -> Arc<Ring> {
+    let mut rings = RINGS.lock();
+    let ring = match rings.spare.pop() {
+        Some(ring) => {
+            ring.lock().reset(capacity);
+            ring
+        }
+        None => Arc::new(Mutex::new(RingBuf::new(capacity))),
+    };
+    rings.all.push(Arc::clone(&ring));
+    ring
+}
+
+/// A thread's claim on its ring. Dropped when the thread exits, which
+/// moves the ring to the retired FIFO.
+struct ThreadRing {
+    ring: Arc<Ring>,
     tid: u32,
-    buf: Mutex<RingBuf>,
+}
+
+impl Drop for ThreadRing {
+    fn drop(&mut self) {
+        let mut rings = RINGS.lock();
+        rings.retired.push_back(Arc::clone(&self.ring));
+        if rings.retired.len() > RETIRED_RINGS {
+            let oldest = rings.retired.pop_front().expect("retired is non-empty");
+            rings.all.retain(|ring| !Arc::ptr_eq(ring, &oldest));
+            oldest.lock().reset(0);
+            if rings.spare.len() < RETIRED_RINGS {
+                rings.spare.push(oldest);
+            }
+        }
+    }
 }
 
 thread_local! {
-    static THREAD_RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    static THREAD_RING: OnceCell<ThreadRing> = const { OnceCell::new() };
 }
 
 /// The process-wide flight recorder. Use [`crate::flight`] to reach the
@@ -131,7 +210,6 @@ thread_local! {
 /// the per-thread rings, so don't.
 pub struct FlightRecorder {
     capacity: AtomicUsize,
-    rings: Mutex<Vec<Arc<Ring>>>,
     epoch: OnceLock<Instant>,
     last_alarm: Mutex<Option<FlightDump>>,
 }
@@ -140,7 +218,6 @@ impl FlightRecorder {
     pub(crate) const fn new() -> FlightRecorder {
         FlightRecorder {
             capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
-            rings: Mutex::new(Vec::new()),
             epoch: OnceLock::new(),
             last_alarm: Mutex::new(None),
         }
@@ -156,12 +233,8 @@ impl FlightRecorder {
     /// [`record`](FlightRecorder::record) becomes one atomic load.
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
-        for ring in self.rings.lock().iter() {
-            let mut buf = ring.buf.lock();
-            buf.slots = Vec::with_capacity(capacity);
-            buf.capacity = capacity;
-            buf.head = 0;
-            buf.written = 0;
+        for ring in RINGS.lock().all.iter() {
+            *ring.lock() = RingBuf::new(capacity);
         }
     }
 
@@ -174,37 +247,28 @@ impl FlightRecorder {
         elapsed.as_secs() * 1_000_000 + u64::from(elapsed.subsec_micros())
     }
 
-    /// Records one event into the calling thread's ring. Allocation-free
-    /// after the thread's first event; near-free when disabled.
+    /// Records one event into the calling thread's ring: a burst of one.
+    /// Allocation-free after the thread's first event; near-free when
+    /// disabled.
     #[inline]
     pub fn record(&self, kind: EventKind, name: &'static str, value: f64) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        if capacity == 0 {
-            return;
-        }
-        let ts_us = self.now_us();
-        THREAD_RING.with(|cell| {
-            let ring = cell.get_or_init(|| {
-                let ring = Arc::new(Ring {
-                    tid: current_tid(),
-                    buf: Mutex::new(RingBuf {
-                        slots: Vec::with_capacity(capacity),
-                        capacity,
-                        head: 0,
-                        written: 0,
-                    }),
-                });
-                self.rings.lock().push(Arc::clone(&ring));
-                ring
-            });
-            ring.buf.lock().push(FlightEvent { ts_us, tid: ring.tid, kind, name, value });
-        });
+        self.burst().record(kind, name, value);
     }
 
     /// Shorthand for a [`EventKind::Marker`] event.
     #[inline]
     pub fn marker(&self, name: &'static str, value: f64) {
         self.record(EventKind::Marker, name, value);
+    }
+
+    /// Opens a [`FlightBurst`]: events recorded through it share one
+    /// timestamp, taken now, and reach the calling thread's ring in
+    /// order under one lock when the burst drops.
+    #[inline]
+    pub fn burst(&self) -> FlightBurst {
+        let capacity = self.capacity();
+        let ts_us = if capacity == 0 { 0 } else { self.now_us() };
+        FlightBurst { capacity, ts_us, len: 0, queued: [(EventKind::Marker, "", 0.0); BURST_SLOTS] }
     }
 
     /// Records an [`EventKind::Alarm`] event and, when no alarm dump is
@@ -232,17 +296,17 @@ impl FlightRecorder {
         self.last_alarm.lock().take()
     }
 
-    /// Merges every thread's ring into one time-ordered dump.
+    /// Merges every dumpable ring into one time-ordered dump.
     pub fn dump(&self, reason: &str) -> FlightDump {
-        let rings = self.rings.lock();
+        let rings = RINGS.lock();
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        for ring in rings.iter() {
-            let buf = ring.buf.lock();
+        for ring in rings.all.iter() {
+            let buf = ring.lock();
             dropped += buf.written.saturating_sub(buf.slots.len() as u64);
             events.extend(buf.ordered());
         }
-        let threads = rings.len();
+        let threads = rings.all.len();
         drop(rings);
         events.sort_by_key(|e| (e.ts_us, e.tid));
         FlightDump { reason: reason.to_owned(), threads, dropped, events }
@@ -251,13 +315,71 @@ impl FlightRecorder {
     /// Clears every ring and any retained alarm dump. Thread
     /// registrations survive so live threads keep recording.
     pub fn reset(&self) {
-        for ring in self.rings.lock().iter() {
-            let mut buf = ring.buf.lock();
-            buf.slots.clear();
-            buf.head = 0;
-            buf.written = 0;
+        for ring in RINGS.lock().all.iter() {
+            let mut buf = ring.lock();
+            let capacity = buf.capacity;
+            buf.reset(capacity);
         }
         *self.last_alarm.lock() = None;
+    }
+}
+
+/// A batch of flight events sharing one timestamp, from
+/// [`FlightRecorder::burst`]. Events queue on the stack and reach the
+/// calling thread's ring in order under one lock when the burst drops
+/// (or earlier, once its fixed array fills), so a hot path that records
+/// several events pays for one clock read and one lock. Inert when the
+/// recorder's capacity was 0 at [`FlightRecorder::burst`].
+pub struct FlightBurst {
+    capacity: usize,
+    ts_us: u64,
+    len: usize,
+    queued: [(EventKind, &'static str, f64); BURST_SLOTS],
+}
+
+impl FlightBurst {
+    /// Queues one event.
+    #[inline]
+    pub fn record(&mut self, kind: EventKind, name: &'static str, value: f64) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.len == BURST_SLOTS {
+            self.flush();
+        }
+        self.queued[self.len] = (kind, name, value);
+        self.len += 1;
+    }
+
+    /// Shorthand for a [`EventKind::Marker`] event.
+    #[inline]
+    pub fn marker(&mut self, name: &'static str, value: f64) {
+        self.record(EventKind::Marker, name, value);
+    }
+
+    /// Pushes the queued events into the calling thread's ring,
+    /// claiming a ring on the thread's first flush. Events flushed while
+    /// the thread is being torn down are dropped.
+    fn flush(&mut self) {
+        if self.len == 0 {
+            return;
+        }
+        let (capacity, ts_us, queued) = (self.capacity, self.ts_us, &self.queued[..self.len]);
+        let _ = THREAD_RING.try_with(|cell| {
+            let mine =
+                cell.get_or_init(|| ThreadRing { ring: claim_ring(capacity), tid: current_tid() });
+            let mut buf = mine.ring.lock();
+            for &(kind, name, value) in queued {
+                buf.push(FlightEvent { ts_us, tid: mine.tid, kind, name, value });
+            }
+        });
+        self.len = 0;
+    }
+}
+
+impl Drop for FlightBurst {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -266,7 +388,8 @@ impl FlightRecorder {
 pub struct FlightDump {
     /// Why the dump was taken (alarm name, `"cli"`, ...).
     pub reason: String,
-    /// Number of threads that had recorded events.
+    /// Rings dumped: live threads plus up to [`RETIRED_RINGS`] (16)
+    /// exited.
     pub threads: usize,
     /// Events overwritten before the dump (total across threads).
     pub dropped: u64,

@@ -95,7 +95,7 @@ impl Tracer {
     /// allocation.
     pub fn span(&self, name: &str, category: &str) -> Span {
         let Some(core) = &self.core else {
-            return Span { active: None };
+            return Span::inert();
         };
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = SPAN_STACK.with(|stack| {
@@ -156,6 +156,11 @@ pub struct Span {
 }
 
 impl Span {
+    /// A guard that records nothing.
+    pub(crate) const fn inert() -> Span {
+        Span { active: None }
+    }
+
     /// Attaches a `key=value` attribute. No-op on a disabled tracer.
     pub fn attr(&mut self, key: &str, value: impl std::fmt::Display) {
         if let Some(active) = &mut self.active {

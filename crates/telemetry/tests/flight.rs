@@ -2,7 +2,7 @@
 //! process-wide singleton, so every test serializes on one lock and
 //! tags its events with test-unique names.
 
-use everest_telemetry::recorder::DEFAULT_RING_CAPACITY;
+use everest_telemetry::recorder::{BURST_SLOTS, DEFAULT_RING_CAPACITY};
 use everest_telemetry::EventKind;
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -128,5 +128,58 @@ fn dump_serializes_to_json() {
         assert!(json.contains("\"reason\": \"json-test\""));
         assert!(json.contains("\"kind\": \"counter_add\""));
         assert!(json.contains("\"name\": \"t6.count\""));
+    });
+}
+
+#[test]
+fn burst_keeps_order_and_shares_one_timestamp() {
+    with_recorder(64, |flight| {
+        {
+            let mut burst = flight.burst();
+            burst.record(EventKind::SpanBegin, "t8.call", 0.0);
+            burst.marker("t8.attempt", 1.0);
+            burst.record(EventKind::SpanEnd, "t8.call", 2.0);
+        }
+        let dump = flight.dump("test");
+        let mine: Vec<_> = dump.events.iter().filter(|e| e.name.starts_with("t8.")).collect();
+        let kinds: Vec<EventKind> = mine.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::SpanBegin, EventKind::Marker, EventKind::SpanEnd]);
+        let values: Vec<f64> = mine.iter().map(|e| e.value).collect();
+        assert_eq!(values, [0.0, 1.0, 2.0], "events reach the ring in burst order");
+        assert!(mine.iter().all(|e| e.ts_us == mine[0].ts_us), "one shared timestamp");
+    });
+}
+
+#[test]
+fn burst_flushes_early_past_its_array() {
+    with_recorder(64, |flight| {
+        let count = |flight: &everest_telemetry::FlightRecorder| {
+            flight.dump("test").events.iter().filter(|e| e.name == "t9.ev").count()
+        };
+        let mut burst = flight.burst();
+        for i in 0..BURST_SLOTS {
+            burst.marker("t9.ev", i as f64);
+        }
+        assert_eq!(count(flight), 0, "a full array still waits for the drop");
+        burst.marker("t9.ev", BURST_SLOTS as f64);
+        assert_eq!(count(flight), BURST_SLOTS, "the next event flushes the full array");
+        drop(burst);
+        let dump = flight.dump("test");
+        let values: Vec<f64> =
+            dump.events.iter().filter(|e| e.name == "t9.ev").map(|e| e.value).collect();
+        assert_eq!(values, (0..=BURST_SLOTS).map(|i| i as f64).collect::<Vec<_>>());
+    });
+}
+
+#[test]
+fn burst_is_a_no_op_at_zero_capacity() {
+    with_recorder(0, |flight| {
+        {
+            let mut burst = flight.burst();
+            for i in 0..3 * BURST_SLOTS {
+                burst.marker("t10.ev", i as f64);
+            }
+        }
+        assert!(flight.dump("test").events.iter().all(|e| e.name != "t10.ev"));
     });
 }

@@ -128,12 +128,17 @@ impl TaskGraph {
 
     /// Upward rank of every task (HEFT priority): the longest cost path
     /// from the task to any exit, inclusive.
+    ///
+    /// One reverse sweep: dependencies always have lower ids, so by the
+    /// time the sweep reaches a task every successor has pushed its
+    /// rank into it, and `rank[id]` holds the longest successor path.
     pub fn upward_ranks(&self) -> Vec<f64> {
-        let succ = self.successors();
         let mut rank = vec![0.0f64; self.tasks.len()];
-        for id in (0..self.tasks.len()).rev() {
-            let down = succ[id].iter().map(|s| rank[*s]).fold(0.0, f64::max);
-            rank[id] = self.tasks[id].cost_us + down;
+        for (id, task) in self.tasks.iter().enumerate().rev() {
+            rank[id] += task.cost_us;
+            for &d in &task.deps {
+                rank[d] = rank[d].max(rank[id]);
+            }
         }
         rank
     }

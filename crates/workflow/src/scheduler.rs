@@ -36,9 +36,10 @@ pub fn task_order(graph: &TaskGraph, policy: Policy) -> Vec<TaskId> {
         Policy::Heft => {
             let ranks = graph.upward_ranks();
             let mut order: Vec<TaskId> = (0..graph.len()).collect();
-            // Higher rank first; stable by id. Upward rank strictly
+            // Higher rank first, then lower id: the key is unique, so an
+            // unstable sort gives the one order. Upward rank strictly
             // decreases along edges, so this is topological.
-            order.sort_by(|a, b| ranks[*b].total_cmp(&ranks[*a]).then(a.cmp(b)));
+            order.sort_unstable_by(|a, b| ranks[*b].total_cmp(&ranks[*a]).then(a.cmp(b)));
             order
         }
     }
@@ -121,25 +122,32 @@ impl AssignState {
             }
             Policy::MinLoad => {
                 // Earliest finish ignoring communication.
-                (0..workers.len())
-                    .min_by(|a, b| {
-                        let fa = self.avail[*a] + workers[*a].exec_time(graph.task(task).cost_us);
-                        let fb = self.avail[*b] + workers[*b].exec_time(graph.task(task).cost_us);
-                        fa.total_cmp(&fb)
-                    })
-                    .expect("non-empty worker pool")
+                let cost = graph.task(task).cost_us;
+                first_min(workers.len(), |w| self.avail[w] + workers[w].exec_time(cost))
             }
-            Policy::Heft => (0..workers.len())
-                .min_by(|a, b| {
-                    let eft = |w: usize| {
-                        let ready = self.data_ready(graph, workers, task, w);
-                        ready.max(self.avail[w]) + workers[w].exec_time(graph.task(task).cost_us)
-                    };
-                    eft(*a).total_cmp(&eft(*b))
+            Policy::Heft => {
+                let cost = graph.task(task).cost_us;
+                first_min(workers.len(), |w| {
+                    let ready = self.data_ready(graph, workers, task, w);
+                    ready.max(self.avail[w]) + workers[w].exec_time(cost)
                 })
-                .expect("non-empty worker pool"),
+            }
         }
     }
+}
+
+/// The first of `0..n` minimizing `key` under `f64::total_cmp`, each key
+/// evaluated once (the tie-break `Iterator::min_by` has).
+fn first_min(n: usize, key: impl Fn(usize) -> f64) -> usize {
+    assert!(n > 0, "non-empty worker pool");
+    let mut best = (0, key(0));
+    for w in 1..n {
+        let k = key(w);
+        if k.total_cmp(&best.1).is_lt() {
+            best = (w, k);
+        }
+    }
+    best.0
 }
 
 #[cfg(test)]
