@@ -13,8 +13,9 @@
 //!   once warm), and **block-wise sampling** over a lane-count-
 //!   parameterized inner loop mirroring the 32-lane FPGA sampling engine
 //!   modeled in E11. Normals come from a 128-layer ziggurat sampler (one
-//!   RNG word and one multiply on the ~98% path, no transcendentals),
-//!   and the result summary uses streaming Welford mean/variance plus a
+//!   RNG word and one multiply on the 97.2% fast path, no
+//!   transcendentals), and the result summary folds streaming Welford
+//!   mean/variance into the last edge pass, then takes a
 //!   `select_nth_unstable` 95th percentile instead of a full sort.
 //! * [`PtdrService`] — the batch front-end: fans a slice of
 //!   [`RouteQuery`]s across [`everest_workflow::pool::parallel_map`]
@@ -112,18 +113,43 @@ pub fn ptdr_travel_time_reference(
 ///
 /// Panics on an empty buffer.
 pub fn summarize(times: &mut [f64]) -> TravelTimeStats {
-    assert!(!times.is_empty(), "need at least one sample");
-    let mut mean = 0.0f64;
-    let mut m2 = 0.0f64;
-    for (i, &t) in times.iter().enumerate() {
-        let delta = t - mean;
-        mean += delta / (i + 1) as f64;
-        m2 += delta * (t - mean);
+    let mut moments = Welford::default();
+    for &t in times.iter() {
+        moments.push(t);
     }
-    let var = (m2 / times.len() as f64).max(0.0);
-    let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
-    let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-    TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
+    moments.finish(times)
+}
+
+/// Welford's streaming mean and sum of squared deviations. The engine
+/// folds it into its last edge pass; [`summarize`] runs it over a
+/// finished buffer. Both push samples in buffer order, so they agree
+/// bit for bit.
+#[derive(Debug, Default)]
+struct Welford {
+    pushed: usize,
+    mean: f64,
+    m2: f64,
+}
+
+impl Welford {
+    #[inline(always)]
+    fn push(&mut self, t: f64) {
+        self.pushed += 1;
+        let delta = t - self.mean;
+        self.mean += delta / self.pushed as f64;
+        self.m2 += delta * (t - self.mean);
+    }
+
+    /// Stats of `times`, whose samples were pushed in order (a buffer of
+    /// zeros may skip its pushes: they leave the moments at zero). Picks
+    /// the p95 by selection, reordering `times`.
+    fn finish(&self, times: &mut [f64]) -> TravelTimeStats {
+        assert!(!times.is_empty(), "need at least one sample");
+        let var = (self.m2 / times.len() as f64).max(0.0);
+        let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
+        let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+        TravelTimeStats { mean_h: self.mean, p95_h: *p95, std_h: var.sqrt() }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,22 +192,47 @@ fn zig_tables() -> &'static ZigTables {
     })
 }
 
-/// One standard normal by the ziggurat method: the ~98% common path
-/// spends a single RNG word, one table compare and one multiply — no
-/// `ln`/`sqrt`/`cos` (the Box-Muller reference pays one of each per
+/// `(bits >> 11) / 2⁵³`: a uniform in [0, 1) from a word's top 53 bits.
+#[inline(always)]
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `x` with its sign bit flipped when bit 7 of `bits` is set — the same
+/// value as `±1.0 * x`, without a data-dependent branch.
+#[inline(always)]
+fn signed(x: f64, bits: u64) -> f64 {
+    f64::from_bits(x.to_bits() ^ ((bits & 0x80) << 56))
+}
+
+/// One standard normal by the ziggurat method: 97.2% of draws take the
+/// fast path of a single RNG word, one table compare and one multiply —
+/// no `ln`/`sqrt`/`cos` (the Box-Muller reference pays one of each per
 /// draw). One u64 supplies the 7-bit layer index, the sign bit, and the
-/// 53-bit mantissa.
-#[inline]
-fn normal(rng: &mut StdRng) -> f64 {
-    let tables = zig_tables();
+/// 53-bit mantissa. The wedge and tail rejections live out of line in
+/// [`normal_slow`].
+#[inline(always)]
+fn normal(rng: &mut StdRng, tables: &ZigTables) -> f64 {
+    let bits = rng.next_u64();
+    let i = (bits & 0x7F) as usize;
+    let x = unit(bits) * tables.x[i];
+    if x < tables.x[i + 1] {
+        return signed(x, bits);
+    }
+    normal_slow(rng, tables, bits)
+}
+
+/// The ziggurat's rejection loop, entered with the first word `bits` of
+/// a draw that missed the fast path. Draws further words in the same
+/// order as one loop over both paths would.
+#[cold]
+#[inline(never)]
+fn normal_slow(rng: &mut StdRng, tables: &ZigTables, mut bits: u64) -> f64 {
     loop {
-        let bits = rng.next_u64();
         let i = (bits & 0x7F) as usize;
-        let sign = if bits & 0x80 != 0 { -1.0f64 } else { 1.0 };
-        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
-        let x = u * tables.x[i];
+        let x = unit(bits) * tables.x[i];
         if x < tables.x[i + 1] {
-            return sign * x;
+            return signed(x, bits);
         }
         if i == 0 {
             // Tail past R: Marsaglia's exponential-rejection sampler.
@@ -191,24 +242,31 @@ fn normal(rng: &mut StdRng) -> f64 {
                 let xt = -u1.ln() / ZIG_R;
                 let yt = -u2.ln();
                 if yt + yt > xt * xt {
-                    return sign * (ZIG_R + xt);
+                    return signed(ZIG_R + xt, bits);
                 }
             }
         }
         // Wedge between the layer's rectangle and the density.
-        let y = tables.f[i]
-            + (tables.f[i + 1] - tables.f[i])
-                * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64);
+        let y = tables.f[i] + (tables.f[i + 1] - tables.f[i]) * unit(rng.next_u64());
         if y < (-0.5 * x * x).exp() {
-            return sign * x;
+            return signed(x, bits);
         }
+        bits = rng.next_u64();
     }
 }
 
-/// Hour bin for an absolute clock value (hours since midnight).
-#[inline]
+/// Hour bin for an absolute clock value (hours since midnight). Clocks
+/// below 2³² h take a 32-bit truncation, which is cheaper than the
+/// saturating `usize` cast and gives the same bin; negative clocks
+/// saturate to 0 on both paths, and NaN and larger clocks take the
+/// `usize` path.
+#[inline(always)]
 fn hour_bin(clock_h: f64) -> usize {
-    (clock_h as usize) % HOUR_BINS
+    if clock_h < 4_294_967_296.0 {
+        (clock_h as u32 % HOUR_BINS as u32) as usize
+    } else {
+        (clock_h as usize) % HOUR_BINS
+    }
 }
 
 /// The restructured PTDR Monte-Carlo kernel.
@@ -300,31 +358,45 @@ impl<const LANES: usize> PtdrEngine<LANES> {
     ) -> TravelTimeStats {
         assert!(samples > 0, "need at least one sample");
         self.prepare(network, profiles, route);
+        let tables = zig_tables();
         let mut rng = StdRng::seed_from_u64(seed);
         self.times.clear();
         self.times.reserve(samples);
         let route_len = self.edges.len();
+        // The last edge pass also pushes each finished walker into the
+        // running moments, in sample order; an empty route's zeros need
+        // no pushes.
+        let mut moments = Welford::default();
         let mut t = [0.0f64; LANES];
         let mut done = 0usize;
         while done < samples {
             let width = LANES.min(samples - done);
-            t[..width].fill(0.0);
+            let lanes = &mut t[..width];
+            lanes.fill(0.0);
             for e in 0..route_len {
                 let len = self.length_km[e];
                 let hi = self.clamp_hi[e];
                 let mean = &self.mean[e * HOUR_BINS..(e + 1) * HOUR_BINS];
                 let std = &self.std[e * HOUR_BINS..(e + 1) * HOUR_BINS];
-                for lane_t in t[..width].iter_mut() {
-                    let z = normal(&mut rng);
+                let mut advance = |lane_t: &mut f64| {
+                    let z = normal(&mut rng, tables);
                     let h = hour_bin(depart_hour + *lane_t);
                     let v = (mean[h] + std[h] * z).clamp(MIN_SPEED_KMH, hi);
                     *lane_t += len / v;
+                };
+                if e + 1 < route_len {
+                    lanes.iter_mut().for_each(advance);
+                } else {
+                    for lane_t in lanes.iter_mut() {
+                        advance(lane_t);
+                        moments.push(*lane_t);
+                    }
                 }
             }
-            self.times.extend_from_slice(&t[..width]);
+            self.times.extend_from_slice(lanes);
             done += width;
         }
-        summarize(&mut self.times)
+        moments.finish(&mut self.times)
     }
 }
 
@@ -703,6 +775,45 @@ mod tests {
         let mut narrow: PtdrEngine<4> = PtdrEngine::new();
         let stats = narrow.estimate(&net, &profiles, &route, 9.0, 100, 5);
         assert!(stats.mean_h > 0.0);
+    }
+
+    #[test]
+    fn fast_path_takes_97_percent_of_first_words() {
+        // A first word lands in layer i with probability 1/128 and passes
+        // the fast test with probability x[i+1]/x[i]; layer 0 misses into
+        // the tail sampler otherwise.
+        let t = zig_tables();
+        let fast = (0..128).map(|i| t.x[i + 1] / t.x[i]).sum::<f64>() / 128.0;
+        let tail = (1.0 - t.x[1] / t.x[0]) / 128.0;
+        assert!((fast - 0.97244).abs() < 1e-5, "fast-path share {fast}");
+        assert!((tail - 5.691e-4).abs() < 1e-6, "tail share {tail}");
+    }
+
+    #[test]
+    fn branch_free_helpers_match_the_plain_forms() {
+        for x in [0.0, 0.25, 1.5, ZIG_R + 0.3] {
+            for bits in [0u64, 0x80, 0x7F, 0xFF, u64::MAX, u64::MAX ^ 0x80] {
+                let sign = if bits & 0x80 != 0 { -1.0f64 } else { 1.0 };
+                assert_eq!(signed(x, bits).to_bits(), (sign * x).to_bits(), "x={x} bits={bits:#x}");
+            }
+        }
+        let clocks = [
+            -3.5,
+            -0.0,
+            f64::NAN,
+            0.0,
+            23.99,
+            24.0,
+            1e9 + 0.5,
+            4_294_967_295.9,
+            4_294_967_296.0,
+            4.5e9,
+            1e20,
+            f64::INFINITY,
+        ];
+        for c in clocks {
+            assert_eq!(hour_bin(c), (c as usize) % HOUR_BINS, "clock {c}");
+        }
     }
 
     #[test]

@@ -22,7 +22,10 @@ const SHARDS: usize = 4;
 const QUEUE_DEPTH: usize = 64;
 const POOL_ROUTES: usize = 64;
 const CALIBRATION_QUERIES: usize = 4_000;
+/// Expected arrivals per sweep day; a day is generated with a cap of
+/// `CAP_FACTOR` times this, and a day that reaches its cap was cut short.
 const POINT_ARRIVALS: usize = 30_000;
+const CAP_FACTOR: usize = 2;
 const RUNS: usize = 7;
 
 fn make_tier(network: &RoadNetwork, profiles: &SpeedProfiles, jobs: usize) -> ServeTier {
@@ -71,10 +74,19 @@ fn main() {
                 2 + day as u64,
                 offered,
                 POINT_ARRIVALS as f64 / offered,
-                POINT_ARRIVALS * 2,
+                CAP_FACTOR * POINT_ARRIVALS,
             )
         })
         .collect();
+    // A truncated day replays only part of the diurnal curve, so its
+    // row would not measure the load it claims.
+    for (mult, workload) in multiples.iter().zip(&workloads) {
+        assert!(
+            workload.len() < CAP_FACTOR * POINT_ARRIVALS,
+            "{mult}x sweep day reached its {} arrival cap: truncated",
+            CAP_FACTOR * POINT_ARRIVALS
+        );
+    }
     let shadow_fps: Vec<String> = workloads.iter().map(|w| shadow.run(w).fingerprint()).collect();
 
     everest_telemetry::metrics().reset();

@@ -242,7 +242,8 @@ const COMMANDS: &[CommandSpec] = &[
                 value: "<n>",
                 help: "routing requests in the synthetic workload (route: \
                        default 256; serve: cap on generated arrivals per load \
-                       point, default 50000)",
+                       point, default 50000; a point that reaches it is marked \
+                       TRUNCATED)",
             },
             FlagDoc {
                 name: "--samples",
@@ -1163,8 +1164,8 @@ fn run_serve(
     );
     println!("calibrated capacity: cold {cold_capacity:.0} q/s, warm {capacity:.0} q/s (virtual)");
     println!(
-        "{:>6}  {:>10}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>8}",
-        "load", "offered", "served", "shed", "reject", "p50_us", "p95_us", "p99_us"
+        "{:>6}  {:>10}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>8}",
+        "load", "offered", "arrivals", "served", "shed", "reject", "p50_us", "p95_us", "p99_us"
     );
     for (day, mult) in [0.5f64, 1.0, 2.0].into_iter().enumerate() {
         let offered = mult * capacity;
@@ -1172,8 +1173,17 @@ fn run_serve(
         let report = tier.run(&workload);
         let shed: u64 = report.shards.iter().map(|s| s.shed).sum();
         let rejected: u64 = report.shards.iter().map(|s| s.rejected).sum();
+        // A day that reached `--queries` stopped early: name the hour of
+        // its diurnal curve where the cut fell.
+        let truncated = match workload.last() {
+            Some(last) if workload.len() >= max_queries => {
+                format!("  TRUNCATED at hour {:.2}", last.at_us / 1e6 / duration_s * 24.0)
+            }
+            _ => String::new(),
+        };
         println!(
-            "{mult:>5.2}x  {offered:>10.0}  {:>8}  {shed:>6}  {rejected:>6}  {:>8.1}  {:>8.1}  {:>8.1}",
+            "{mult:>5.2}x  {offered:>10.0}  {:>8}  {:>8}  {shed:>6}  {rejected:>6}  {:>8.1}  {:>8.1}  {:>8.1}{truncated}",
+            workload.len(),
             report.served(),
             report.latency.p50(),
             report.latency.p95(),

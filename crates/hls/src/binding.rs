@@ -8,13 +8,14 @@
 use crate::cdfg::Dfg;
 use crate::oplib::{AreaReport, FuKind};
 use crate::schedule::Schedule;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Result of allocation + binding for one scheduled block.
 #[derive(Debug, Clone, Default)]
 pub struct Binding {
-    /// Instances allocated per unit kind.
-    pub allocation: HashMap<FuKind, usize>,
+    /// Instances allocated per unit kind, in `FuKind` order, so the RTL
+    /// declares its units in the same order in every process.
+    pub allocation: BTreeMap<FuKind, usize>,
     /// Per node: the unit instance `(kind, index)` it runs on, if any.
     pub assignment: Vec<Option<(FuKind, usize)>>,
     /// Peak number of live values crossing a cycle boundary.
@@ -45,7 +46,7 @@ pub fn bind(dfg: &Dfg, schedule: &Schedule) -> Binding {
             *per_cycle.entry((fu, schedule.start[id])).or_insert(0) += 1;
         }
     }
-    let mut allocation: HashMap<FuKind, usize> = HashMap::new();
+    let mut allocation: BTreeMap<FuKind, usize> = BTreeMap::new();
     for ((fu, _), count) in &per_cycle {
         let e = allocation.entry(*fu).or_insert(0);
         *e = (*e).max(*count);

@@ -145,10 +145,10 @@ impl TaintEngine {
 mod tests {
     use super::*;
     use crate::oplib::FuKind;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn sample_binding() -> Binding {
-        let mut allocation = HashMap::new();
+        let mut allocation = BTreeMap::new();
         allocation.insert(FuKind::FAdd, 2);
         allocation.insert(FuKind::FMul, 2);
         Binding { allocation, assignment: Vec::new(), registers: 10 }
